@@ -83,27 +83,21 @@ SVTransaction* SVEngine::Begin(IsolationLevel isolation, bool read_only) {
 }
 
 Status SVEngine::AcquireLock(SVTransaction* txn, SVLockTable& locks,
-                             uint64_t key, bool exclusive,
-                             SVTransaction::LockEntry** entry_out) {
+                             uint64_t key, bool exclusive) {
   KeyLock* lock = locks.LockFor(key);
-  SVTransaction::LockEntry* held = txn->FindLock(lock);
+  HeldLockSet::Entry* held = txn->locks.Find(lock);
   if (held != nullptr) {
-    if (held->exclusive || !exclusive) {
-      if (entry_out != nullptr) *entry_out = held;
-      return Status::OK();
-    }
+    if (held->exclusive || !exclusive) return Status::OK();
     // Upgrade S -> X.
     stats_.Add(Stat::kLockWaits);
     if (!SVLockTable::AcquireExclusive(lock, txn->id, /*held_shared=*/true,
                                        options_.lock_timeout_us)) {
       // Our shared slot was consumed by the failed upgrade; drop the entry
       // so release doesn't double-release.
-      *held = txn->locks.back();
-      txn->locks.pop_back();
+      txn->locks.Drop(held);
       return Status::Aborted(AbortReason::kLockTimeout);
     }
     held->exclusive = true;
-    if (entry_out != nullptr) *entry_out = held;
     return Status::OK();
   }
   bool ok = exclusive
@@ -112,8 +106,7 @@ Status SVEngine::AcquireLock(SVTransaction* txn, SVLockTable& locks,
                 : SVLockTable::AcquireShared(lock, txn->id,
                                              options_.lock_timeout_us);
   if (!ok) return Status::Aborted(AbortReason::kLockTimeout);
-  txn->locks.push_back(SVTransaction::LockEntry{lock, exclusive});
-  if (entry_out != nullptr) *entry_out = &txn->locks.back();
+  txn->locks.Add(lock, exclusive);
   return Status::OK();
 }
 
@@ -139,7 +132,7 @@ Status SVEngine::ReadRowForScan(SVTransaction* txn, Table& table,
   *keep_going = true;
   const uint64_t key = table.IndexKeyOf(index_id, v);
   KeyLock* lock = locks.LockFor(key);
-  SVTransaction::LockEntry* held = txn->FindLock(lock);
+  HeldLockSet::Entry* held = txn->locks.Find(lock);
   bool release_after = false;
   if (held == nullptr) {
     if (!SVLockTable::AcquireShared(lock, txn->id, options_.lock_timeout_us)) {
@@ -149,7 +142,7 @@ Status SVEngine::ReadRowForScan(SVTransaction* txn, Table& table,
         txn->isolation == IsolationLevel::kReadCommitted) {
       release_after = true;
     } else {
-      txn->locks.push_back(SVTransaction::LockEntry{lock, false});
+      txn->locks.Add(lock, /*exclusive=*/false);
     }
     // Membership re-check: the index walk found `v` before we held the
     // lock, so a writer may have unlinked it in the window (aborted
@@ -222,7 +215,7 @@ Status SVEngine::Scan(SVTransaction* txn, TableId table_id, IndexId index_id,
 
   const bool short_lock = txn->isolation == IsolationLevel::kReadCommitted;
   KeyLock* lock = locks.LockFor(key);
-  SVTransaction::LockEntry* held = txn->FindLock(lock);
+  HeldLockSet::Entry* held = txn->locks.Find(lock);
   bool release_after = false;
   if (held == nullptr) {
     if (!SVLockTable::AcquireShared(lock, txn->id, options_.lock_timeout_us)) {
@@ -231,7 +224,7 @@ Status SVEngine::Scan(SVTransaction* txn, TableId table_id, IndexId index_id,
     if (short_lock) {
       release_after = true;  // cursor stability: release when the read ends
     } else {
-      txn->locks.push_back(SVTransaction::LockEntry{lock, false});
+      txn->locks.Add(lock, /*exclusive=*/false);
     }
   }
 
@@ -322,7 +315,7 @@ Status SVEngine::Insert(SVTransaction* txn, TableId table_id,
   SVLockTable& primary_locks = *lock_tables_[lock_table_base_[table_id]];
   const uint64_t key = primary.KeyOfPayload(payload);
 
-  Status s = AcquireLock(txn, primary_locks, key, /*exclusive=*/true, nullptr);
+  Status s = AcquireLock(txn, primary_locks, key, /*exclusive=*/true);
   if (!s.ok()) return DoAbort(txn, s.abort_reason());
 
   EpochGuard guard(epoch_);
@@ -336,7 +329,7 @@ Status SVEngine::Insert(SVTransaction* txn, TableId table_id,
   for (uint32_t i = 1; i < table.num_indexes(); ++i) {
     uint64_t k = table.IndexKeyOfPayload(i, payload);
     Status s2 = AcquireLock(txn, *lock_tables_[lock_table_base_[table_id] + i],
-                            k, /*exclusive=*/true, nullptr);
+                            k, /*exclusive=*/true);
     if (!s2.ok()) {
       table.FreeUnpublishedVersion(row);
       return DoAbort(txn, s2.abort_reason());
@@ -360,7 +353,7 @@ Status SVEngine::Update(SVTransaction* txn, TableId table_id, IndexId index_id,
   Table& table = catalog_.table(table_id);
   SVLockTable& locks = *lock_tables_[lock_table_base_[table_id] + index_id];
 
-  Status s = AcquireLock(txn, locks, key, /*exclusive=*/true, nullptr);
+  Status s = AcquireLock(txn, locks, key, /*exclusive=*/true);
   if (!s.ok()) return DoAbort(txn, s.abort_reason());
 
   EpochGuard guard(epoch_);
@@ -372,7 +365,7 @@ Status SVEngine::Update(SVTransaction* txn, TableId table_id, IndexId index_id,
   if (index_id != 0) {
     uint64_t pk = table.IndexKeyOf(0, row);
     Status s2 = AcquireLock(txn, *lock_tables_[lock_table_base_[table_id]], pk,
-                            /*exclusive=*/true, nullptr);
+                            /*exclusive=*/true);
     if (!s2.ok()) return DoAbort(txn, s2.abort_reason());
   }
   // X-lock the row's key in every ordered index: range scans read rows
@@ -383,7 +376,7 @@ Status SVEngine::Update(SVTransaction* txn, TableId table_id, IndexId index_id,
     if (i == index_id || table.ordered_index(i) == nullptr) continue;
     uint64_t k = table.IndexKeyOf(i, row);
     Status s2 = AcquireLock(txn, *lock_tables_[lock_table_base_[table_id] + i],
-                            k, /*exclusive=*/true, nullptr);
+                            k, /*exclusive=*/true);
     if (!s2.ok()) return DoAbort(txn, s2.abort_reason());
   }
 
@@ -404,7 +397,7 @@ Status SVEngine::Delete(SVTransaction* txn, TableId table_id, IndexId index_id,
   Table& table = catalog_.table(table_id);
   SVLockTable& locks = *lock_tables_[lock_table_base_[table_id] + index_id];
 
-  Status s = AcquireLock(txn, locks, key, /*exclusive=*/true, nullptr);
+  Status s = AcquireLock(txn, locks, key, /*exclusive=*/true);
   if (!s.ok()) return DoAbort(txn, s.abort_reason());
 
   EpochGuard guard(epoch_);
@@ -416,7 +409,7 @@ Status SVEngine::Delete(SVTransaction* txn, TableId table_id, IndexId index_id,
     if (i == index_id) continue;
     uint64_t k = table.IndexKeyOf(i, row);
     Status s2 = AcquireLock(txn, *lock_tables_[lock_table_base_[table_id] + i],
-                            k, /*exclusive=*/true, nullptr);
+                            k, /*exclusive=*/true);
     if (!s2.ok()) return DoAbort(txn, s2.abort_reason());
   }
   // Removing keys from an ordered index shrinks a serializable scanner's
@@ -437,7 +430,7 @@ void SVEngine::ReleaseAllLocks(SVTransaction* txn) {
       SVLockTable::ReleaseShared(e.lock);
     }
   }
-  txn->locks.clear();
+  txn->locks.Clear();
   for (const auto& r : txn->range_locks) {
     if (r.point) {
       r.manager->ReleasePoint(txn->id, r.lo);

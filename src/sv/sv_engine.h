@@ -39,6 +39,7 @@
 #include "mem/object_pool.h"
 #include "obs/histogram.h"
 #include "storage/table.h"
+#include "sv/held_lock_set.h"
 #include "sv/lock_table.h"
 #include "util/epoch.h"
 
@@ -75,14 +76,14 @@ class SVTransaction {
   SVTransaction(TxnId id, IsolationLevel isolation)
       : id(id), isolation(isolation) {}
 
-  /// Re-arm a recycled handle (mem/object_pool.h); lock/undo vectors keep
-  /// their capacity. Only the owning thread ever touches an SV handle, so
-  /// recycling needs no epoch deferral.
+  /// Re-arm a recycled handle (mem/object_pool.h); the lock set and undo
+  /// vectors keep their capacity. Only the owning thread ever touches an SV
+  /// handle, so recycling needs no epoch deferral.
   void Reset(TxnId new_id, IsolationLevel new_isolation) {
     id = new_id;
     isolation = new_isolation;
     start_ticks = 0;
-    locks.clear();
+    locks.Clear();
     range_locks.clear();
     undo.clear();
   }
@@ -92,11 +93,6 @@ class SVTransaction {
   /// obs::NowTicks() at Begin (owning thread only; feeds the txn_lifetime
   /// histogram at commit). 0 when histograms are disabled.
   uint64_t start_ticks = 0;
-
-  struct LockEntry {
-    KeyLock* lock;
-    bool exclusive;
-  };
 
   /// One registered predicate-lock entry (RangeLockManager): a scanned
   /// range (shared) or a written key (point). `point` distinguishes; a
@@ -117,17 +113,9 @@ class SVTransaction {
     std::vector<uint8_t> before;  // update only
   };
 
-  std::vector<LockEntry> locks;
+  HeldLockSet locks;
   std::vector<RangeLockHold> range_locks;
   std::vector<UndoEntry> undo;
-
-  /// Find this transaction's hold on `lock`, or nullptr.
-  LockEntry* FindLock(KeyLock* lock) {
-    for (auto& e : locks) {
-      if (e.lock == lock) return &e;
-    }
-    return nullptr;
-  }
 };
 
 class SVEngine {
@@ -175,6 +163,11 @@ class SVEngine {
   Status Commit(SVTransaction* txn);
   void Abort(SVTransaction* txn);
 
+  /// The lock guarding `key` in index `index_id` (introspection, tests).
+  KeyLock* KeyLockFor(TableId table_id, IndexId index_id, uint64_t key) {
+    return lock_tables_[lock_table_base_[table_id] + index_id]->LockFor(key);
+  }
+
   StatsCollector& stats() { return stats_; }
   obs::LatencyHistograms& hists() { return hists_; }
   EpochManager& epoch() { return epoch_; }
@@ -201,7 +194,7 @@ class SVEngine {
   /// registering it in the transaction's lock set. Short-lock reads under
   /// Read Committed are handled by the caller.
   Status AcquireLock(SVTransaction* txn, SVLockTable& locks, uint64_t key,
-                     bool exclusive, SVTransaction::LockEntry** entry_out);
+                     bool exclusive);
 
   /// Find the row for `key` on any index kind. Caller must hold the key
   /// lock (any mode) and an epoch guard.

@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <set>
 #include <thread>
 
+#include "common/random.h"
+#include "sv/held_lock_set.h"
 #include "sv/lock_table.h"
 #include "sv/sv_engine.h"
 
@@ -98,6 +102,56 @@ TEST(SVLockTableTest, DistinctKeysUsuallyDistinctLocks) {
   EXPECT_LT(collisions, 10);
 }
 
+/// --- the held-lock set --------------------------------------------------------
+
+// Random Add/Drop/Clear against a reference map, checking Find for members
+// and non-members along the way: exercises growth from the minimum size,
+// swap-removal, and backward-shift deletion inside probe runs.
+TEST(HeldLockSetTest, RandomOpsMatchReference) {
+  SVLockTable table(4096);
+  HeldLockSet set;
+  std::map<KeyLock*, bool> ref;
+  Random rng(42);
+  auto check_all = [&] {
+    size_t iterated = 0;
+    for (const HeldLockSet::Entry& e : set) {
+      ++iterated;
+      auto it = ref.find(e.lock);
+      ASSERT_NE(it, ref.end());
+      EXPECT_EQ(e.exclusive, it->second);
+    }
+    EXPECT_EQ(iterated, ref.size());
+    for (const auto& [lock, exclusive] : ref) {
+      HeldLockSet::Entry* e = set.Find(lock);
+      ASSERT_NE(e, nullptr);
+      EXPECT_EQ(e->lock, lock);
+      EXPECT_EQ(e->exclusive, exclusive);
+    }
+  };
+  for (int op = 0; op < 40000; ++op) {
+    KeyLock* lock = table.LockFor(rng.Uniform(3000));
+    HeldLockSet::Entry* found = set.Find(lock);
+    ASSERT_EQ(found != nullptr, ref.count(lock) == 1) << "op " << op;
+    const uint64_t dice = rng.Uniform(1000);
+    if (dice == 0) {
+      set.Clear();
+      ref.clear();
+    } else if (found == nullptr && dice < 600) {
+      const bool exclusive = rng.Uniform(2) == 0;
+      set.Add(lock, exclusive);
+      ref[lock] = exclusive;
+    } else if (found != nullptr && dice < 400) {
+      set.Drop(found);
+      ref.erase(lock);
+    }
+    if (op % 500 == 0) check_all();
+  }
+  check_all();
+  set.Clear();
+  for (const HeldLockSet::Entry& e : set) ADD_FAILURE() << e.lock;
+  EXPECT_EQ(set.Find(table.LockFor(1)), nullptr);
+}
+
 /// --- engine-level locking semantics ------------------------------------------
 
 struct Row {
@@ -125,6 +179,40 @@ class SVEngineTest : public ::testing::Test {
     Row row{key, value};
     ASSERT_TRUE(engine_->Insert(t, table_, &row).ok());
     ASSERT_TRUE(engine_->Commit(t).ok());
+  }
+
+  /// A second table of rows 0..n-1 with one lock partition per row.
+  TableId LoadRows(uint64_t n) {
+    TableDef def;
+    def.name = "many";
+    def.payload_size = sizeof(Row);
+    def.indexes.push_back(IndexDef{&RowKey, n, true});
+    TableId id = engine_->CreateTable(def);
+    SVTransaction* t = engine_->Begin(IsolationLevel::kReadCommitted);
+    for (uint64_t k = 0; k < n; ++k) {
+      Row row{k, k};
+      EXPECT_TRUE(engine_->Insert(t, id, &row).ok());
+    }
+    EXPECT_TRUE(engine_->Commit(t).ok());
+    return id;
+  }
+
+  /// The distinct key locks guarding keys 0..n-1 of `table`.
+  std::set<KeyLock*> LocksOf(TableId table, uint64_t n) {
+    std::set<KeyLock*> locks;
+    for (uint64_t k = 0; k < n; ++k) {
+      locks.insert(engine_->KeyLockFor(table, 0, k));
+    }
+    return locks;
+  }
+
+  static size_t CountReaders(const std::set<KeyLock*>& locks,
+                             uint32_t readers) {
+    size_t n = 0;
+    for (KeyLock* l : locks) {
+      if (l->readers.load() == readers && l->writer.load() == 0) ++n;
+    }
+    return n;
   }
 
   std::unique_ptr<SVEngine> engine_;
@@ -285,6 +373,85 @@ TEST_F(SVEngineTest, DeadlockBrokenByTimeout) {
   if (!s2.ok()) {
     EXPECT_EQ(s2.abort_reason(), AbortReason::kLockTimeout);
   }
+}
+
+constexpr uint64_t kManyKeys = 10000;
+
+TEST_F(SVEngineTest, SerializableReReadsTakeEachLockOnce) {
+  const TableId many = LoadRows(kManyKeys);
+  const std::set<KeyLock*> touched = LocksOf(many, kManyKeys);
+  SVTransaction* t = engine_->Begin(IsolationLevel::kSerializable);
+  Row row{};
+  for (int pass = 0; pass < 2; ++pass) {
+    for (uint64_t k = 0; k < kManyKeys; ++k) {
+      ASSERT_TRUE(engine_->Read(t, many, 0, k, &row).ok()) << k;
+      ASSERT_EQ(row.key, k);
+    }
+  }
+  // One shared slot per distinct lock, however often its keys were read.
+  EXPECT_EQ(CountReaders(touched, 1), touched.size());
+  ASSERT_TRUE(engine_->Commit(t).ok());
+  EXPECT_EQ(CountReaders(touched, 0), touched.size());
+}
+
+TEST_F(SVEngineTest, FailedUpgradeReleasesEveryLockOnce) {
+  for (uint64_t k = 1; k <= 3; ++k) Put(k, 10 * k);
+  KeyLock* l1 = engine_->KeyLockFor(table_, 0, 1);
+  KeyLock* l2 = engine_->KeyLockFor(table_, 0, 2);
+  KeyLock* l3 = engine_->KeyLockFor(table_, 0, 3);
+  ASSERT_TRUE(l1 != l2 && l2 != l3 && l1 != l3);
+
+  SVTransaction* t1 = engine_->Begin(IsolationLevel::kRepeatableRead);
+  Row row{};
+  for (uint64_t k = 1; k <= 3; ++k) {
+    ASSERT_TRUE(engine_->Read(t1, table_, 0, k, &row).ok());
+  }
+  SVTransaction* t2 = engine_->Begin(IsolationLevel::kRepeatableRead);
+  ASSERT_TRUE(engine_->Read(t2, table_, 0, 2, &row).ok());
+  EXPECT_EQ(l2->readers.load(), 2u);
+
+  // T2's S lock blocks T1's S->X upgrade; the timeout aborts T1, whose
+  // shared slot on k2 the failed upgrade already consumed.
+  Status s = engine_->Update(t1, table_, 0, 2, [](void* p) {
+    static_cast<Row*>(p)->value = 0;
+  });
+  ASSERT_TRUE(s.IsAborted());
+  EXPECT_EQ(s.abort_reason(), AbortReason::kLockTimeout);
+  EXPECT_EQ(l1->readers.load(), 0u);
+  EXPECT_EQ(l3->readers.load(), 0u);
+  EXPECT_EQ(l2->readers.load(), 1u);  // T2's
+  EXPECT_EQ(l1->writer.load() | l2->writer.load() | l3->writer.load(), 0u);
+
+  ASSERT_TRUE(engine_->Commit(t2).ok());
+  EXPECT_EQ(l2->readers.load(), 0u);
+}
+
+TEST_F(SVEngineTest, RecycledHandleTakesLocksAfresh) {
+  const TableId many = LoadRows(kManyKeys);
+  SVTransaction* big = engine_->Begin(IsolationLevel::kSerializable);
+  Row row{};
+  for (uint64_t k = 0; k < kManyKeys; ++k) {
+    ASSERT_TRUE(engine_->Read(big, many, 0, k, &row).ok());
+  }
+  ASSERT_TRUE(engine_->Commit(big).ok());
+
+  // The pool hands this thread the same handle back, its lock set grown to
+  // 10K entries and cleared. Reading a key the big transaction held must
+  // really take the lock, not hit a stale "already held" entry.
+  constexpr uint64_t kKey = kManyKeys / 2;
+  SVTransaction* small = engine_->Begin(IsolationLevel::kRepeatableRead);
+  ASSERT_EQ(small, big);
+  ASSERT_TRUE(engine_->Read(small, many, 0, kKey, &row).ok());
+  EXPECT_EQ(engine_->KeyLockFor(many, 0, kKey)->readers.load(), 1u);
+
+  SVTransaction* writer = engine_->Begin(IsolationLevel::kReadCommitted);
+  Status s = engine_->Update(writer, many, 0, kKey, [](void* p) {
+    static_cast<Row*>(p)->value += 1;
+  });
+  ASSERT_TRUE(s.IsAborted());
+  EXPECT_EQ(s.abort_reason(), AbortReason::kLockTimeout);
+  ASSERT_TRUE(engine_->Commit(small).ok());
+  EXPECT_EQ(engine_->KeyLockFor(many, 0, kKey)->readers.load(), 0u);
 }
 
 }  // namespace
