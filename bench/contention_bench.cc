@@ -12,6 +12,7 @@
 //   --block N   end-timestamp block size (DatabaseOptions::ts_block_size);
 //               1 reproduces the unbatched fetch_add-per-commit behavior.
 #include "bench/harness.h"
+#include "txn/timestamp.h"
 
 int main(int argc, char** argv) {
   using namespace mvstore;
@@ -40,7 +41,7 @@ int main(int argc, char** argv) {
     opts.ts_block_size = block;
     // Non-default block sizes tag the row label so ablation runs do not
     // merge with the default rows in bench_report.sh medians.
-    std::string label = SchemeLabel(s, opts);
+    std::string label = SchemeName(s);
     if (block != TimestampGenerator::kDefaultBlockSize) {
       label += "+block" + std::to_string(block);
     }

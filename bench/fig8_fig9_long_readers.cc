@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> labels;
   for (Scheme s : schemes) {
     DatabaseOptions opts = MakeOptions(s, flags);
-    labels.push_back(SchemeLabel(s, opts));
+    labels.push_back(SchemeName(s));
     dbs.push_back(std::make_unique<Database>(opts));
     tables.push_back(workload::CreateAndLoadRows(*dbs.back(), rows));
   }

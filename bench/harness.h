@@ -13,7 +13,6 @@
 //   --rows N        table size (default differs per experiment)
 //   --threads T     max multiprogramming level (default min(24, hw))
 //   --scheme X      restrict to one scheme (1V, MV/L, MV/O)
-//   --slab 0|1      memory subsystem: slab recycling (default) vs heap
 //   --json PATH     additionally emit machine-readable result rows
 //   --full          paper-scale parameters (10M rows etc.)
 // Defaults are sized so that `for b in build/bench/*; do $b; done` finishes
@@ -24,6 +23,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -149,11 +149,12 @@ inline std::vector<Scheme> SchemesToRun(const Flags& flags) {
                              Scheme::kMultiVersionLocking,
                              Scheme::kMultiVersionOptimistic};
   if (only.empty()) return all;
-  std::vector<Scheme> picked;
   for (Scheme s : all) {
-    if (only == SchemeName(s)) picked.push_back(s);
+    if (only == SchemeName(s)) return {s};
   }
-  return picked.empty() ? all : picked;
+  std::fprintf(stderr, "unknown --scheme '%s'; valid: 1V, MV/L, MV/O\n",
+               only.c_str());
+  std::exit(2);
 }
 
 inline uint32_t DefaultMaxThreads() {
@@ -198,21 +199,12 @@ inline std::string BenchSlug(const char* argv0) {
   return slash == std::string::npos ? s : s.substr(slash + 1);
 }
 
-/// MakeOptions honoring the common command-line axes (`--slab`, `--group`).
+/// MakeOptions honoring the common command-line axis `--group`.
 inline DatabaseOptions MakeOptions(Scheme scheme, const Flags& flags) {
   DatabaseOptions opts = MakeOptions(scheme);
-  opts.use_slab_allocator = flags.GetUint("slab", 1) != 0;
   opts.group_commit_us =
       static_cast<uint32_t>(flags.GetUint("group", opts.group_commit_us));
   return opts;
-}
-
-/// Label for result rows: scheme name, tagged when the heap fallback is on
-/// (so slab-vs-heap rows of the same bench are distinguishable).
-inline std::string SchemeLabel(Scheme scheme, const DatabaseOptions& opts) {
-  std::string label = SchemeName(scheme);
-  if (!opts.use_slab_allocator) label += "+heap";
-  return label;
 }
 
 /// Per-point latency quantiles from the engine's striped histograms:

@@ -33,7 +33,7 @@ inline int RunReadMixBench(int argc, char** argv, uint64_t default_rows,
   std::vector<std::string> labels;
   for (Scheme s : schemes) {
     DatabaseOptions opts = MakeOptions(s, flags);
-    labels.push_back(SchemeLabel(s, opts));
+    labels.push_back(SchemeName(s));
     dbs.push_back(std::make_unique<Database>(opts));
     tables.push_back(workload::CreateAndLoadRows(*dbs.back(), rows));
   }

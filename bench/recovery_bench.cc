@@ -22,6 +22,7 @@
 #include "common/timing.h"
 #include "core/recovery.h"
 #include "log/log_record.h"
+#include "log/log_segment.h"
 
 namespace mvstore {
 namespace {
@@ -89,16 +90,24 @@ int main(int argc, char** argv) {
   uint64_t live_rows = 0;
   std::vector<uint8_t> log_bytes = BuildLog(txns, rows, &live_rows);
   char path[256];
-  std::snprintf(path, sizeof(path), "/tmp/mvstore_recovery_bench_%d.log",
+  std::snprintf(path, sizeof(path), "/tmp/mvstore_recovery_bench_%d",
                 ::getpid());
-  std::FILE* f = std::fopen(path, "wb");
-  if (f == nullptr ||
-      std::fwrite(log_bytes.data(), 1, log_bytes.size(), f) !=
-          log_bytes.size()) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return 1;
+  auto remove_log = [&path] {
+    for (const logseg::SegmentFile& seg : logseg::ListSegments(path)) {
+      std::remove(seg.path.c_str());
+    }
+  };
+  {
+    // One segment holding the whole synthetic log.
+    SegmentedLogSink sink(path, SegmentedLogSink::Options{~0ull, false});
+    sink.Write(log_bytes.data(), log_bytes.size());
+    sink.Sync();
+    if (!sink.status().ok()) {
+      std::fprintf(stderr, "cannot write %s\n", path);
+      remove_log();
+      return 1;
+    }
   }
-  std::fclose(f);
   std::printf("log: %llu records, %.1f MB, %llu live rows\n",
               static_cast<unsigned long long>(txns),
               log_bytes.size() / 1e6,
@@ -128,7 +137,7 @@ int main(int argc, char** argv) {
       if (!s.ok() || report.records_replayed != txns) {
         std::fprintf(stderr, "recovery failed (%s, %u threads): %s\n",
                      SchemeName(scheme), threads, s.ToString().c_str());
-        std::remove(path);
+        remove_log();
         return 1;
       }
       const double per_second = txns / seconds;
@@ -137,6 +146,6 @@ int main(int argc, char** argv) {
       json.AddRow(SchemeName(scheme), threads, per_second, 0);
     }
   }
-  std::remove(path);
+  remove_log();
   return 0;
 }

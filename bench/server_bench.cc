@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
         LatencyProbe probe(db, obs::Hist::kCommitTotal);
         RunResult r = RunPoint(ctx, conns, seconds);
         probe.Finish();
-        std::string label = SchemeLabel(scheme, opts) + ":p" +
+        std::string label = std::string(SchemeName(scheme)) + ":p" +
                             std::to_string(ctx.depth);
         std::printf("%-14s %-10s %12u %12.0f %10llu %10.1f %10.1f\n",
                     label.c_str(), "loopback", conns, r.tps(),
@@ -218,7 +218,7 @@ int main(int argc, char** argv) {
         LatencyProbe probe(db, obs::Hist::kCommitTotal);
         RunResult r = RunPoint(ctx, conns, seconds);
         probe.Finish();
-        std::string label = SchemeLabel(scheme, opts) + ":p" +
+        std::string label = std::string(SchemeName(scheme)) + ":p" +
                             std::to_string(ctx.depth) + "+tcp";
         std::printf("%-14s %-10s %12u %12.0f %10llu %10.1f %10.1f\n",
                     label.c_str(), "tcp", conns, r.tps(),
@@ -289,7 +289,7 @@ int main(int argc, char** argv) {
           LatencyProbe lprobe(*leader, obs::Hist::kReadLatency);
           RunResult lr = RunReadPoint(ltrans, ctx.depth, conns, seconds);
           lprobe.Finish();
-          std::string llabel = SchemeLabel(scheme, opts) + ":fread";
+          std::string llabel = std::string(SchemeName(scheme)) + ":fread";
           std::printf("%-14s %-10s %12u %12.0f %10llu %10.1f %10.1f\n",
                       llabel.c_str(), "loopback", conns, lr.tps(),
                       static_cast<unsigned long long>(lr.aborted),
@@ -298,7 +298,7 @@ int main(int argc, char** argv) {
           LatencyProbe fprobe(replica->db(), obs::Hist::kReadLatency);
           RunResult fr = RunReadPoint(ftrans, ctx.depth, conns, seconds);
           fprobe.Finish();
-          std::string flabel = SchemeLabel(scheme, opts) + ":fread+follower";
+          std::string flabel = std::string(SchemeName(scheme)) + ":fread+follower";
           std::printf("%-14s %-10s %12u %12.0f %10llu %10.1f %10.1f\n",
                       flabel.c_str(), "loopback", conns, fr.tps(),
                       static_cast<unsigned long long>(fr.aborted),

@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
             }
           });
       tps[level] = r.tps();
-      json.AddRow(SchemeLabel(scheme, opts) + "@" + level_tags[level],
+      json.AddRow(std::string(SchemeName(scheme)) + "@" + level_tags[level],
                   threads, tps[level], r.aborted);
     }
     auto drop = [&](int level) {

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
         });
     std::printf("%-6s %20.0f %13.2f%%\n", SchemeName(scheme), r.tps(),
                 100.0 * r.abort_rate());
-    json.AddRow(SchemeLabel(scheme, opts), threads, r.tps(), r.aborted);
+    json.AddRow(SchemeName(scheme), threads, r.tps(), r.aborted);
     std::fflush(stdout);
   }
   return 0;

@@ -12,9 +12,9 @@
 # p50_us, p99_us} rows via --json (the latency quantiles come from the
 # engine's own histograms; see docs/BENCHMARKS.md "Latency columns");
 # this script merges them, taking the per-point median
-# across repeats (single-run numbers on a shared/small box are noisy). The
-# slab-sensitive benches run twice (memory subsystem on and off) so every
-# report carries a slab-vs-heap comparison alongside the absolute numbers.
+# across repeats (single-run numbers on a shared/small box are noisy).
+# Slab-vs-heap evidence lives in alloc_bench and ablation_design's
+# heap_alloc row, not in a second run of every figure bench.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -53,14 +53,12 @@ run() {
 
 for ((rep = 0; rep < REPEATS; ++rep)) do
   run "alloc.${rep}"     "${BUILD_DIR}/alloc_bench"
-  run "fig5_slab.${rep}" "${BUILD_DIR}/fig5_scalability_high"
-  run "fig5_heap.${rep}" "${BUILD_DIR}/fig5_scalability_high" --slab 0
+  run "fig5.${rep}"      "${BUILD_DIR}/fig5_scalability_high"
   # Coordination cost in isolation (empty Begin/Commit loops), with the
   # unbatched-timestamp ablation alongside (rows tagged +block1).
   run "contention.${rep}"   "${BUILD_DIR}/contention_bench"
   run "contention_b1.${rep}" "${BUILD_DIR}/contention_bench" --block 1
-  run "tatp_slab.${rep}" "${BUILD_DIR}/table4_tatp"
-  run "tatp_heap.${rep}" "${BUILD_DIR}/table4_tatp" --slab 0
+  run "tatp.${rep}"      "${BUILD_DIR}/table4_tatp"
   # Recovery time (log replay records/sec over a replay-thread sweep);
   # ignores --seconds, sized by RECOVERY_TXNS instead. 50K keeps the 12
   # recoveries (3 schemes x 4 thread counts) proportionate to the rest of

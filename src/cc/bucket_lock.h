@@ -6,6 +6,7 @@
 // "a separate hash table with the bucket address as the key".
 #pragma once
 
+#include <array>
 #include <unordered_map>
 #include <vector>
 

@@ -1,8 +1,5 @@
 #include "cc/mv_engine.h"
 
-#include "log/log_segment.h"
-#include "obs/slow_txn.h"
-
 #include <algorithm>
 #include <cassert>
 #include <cstring>
@@ -39,31 +36,11 @@ Stat AbortStat(AbortReason reason) {
 
 }  // namespace
 
-MVEngine::MVEngine(MVEngineOptions options)
-    : options_(options),
-      hists_(options_.enable_latency_histograms),
-      slow_txn_ticks_(obs::SlowTxnThresholdTicks(options_.slow_txn_us)),
+MVEngine::MVEngine(MVEngineOptions options, Scheme scheme)
+    : EngineCore(scheme, options),
+      options_(options),
       txn_pool_(options_.use_slab_allocator, &stats_),
       ts_gen_(options_.ts_block_size) {
-  catalog_.ConfigureMemory(
-      Table::MemoryOptions{options_.use_slab_allocator, &stats_, &epoch_});
-  LogSink* sink = nullptr;
-  if (options_.log_mode != LogMode::kDisabled) {
-    if (options_.log_path.empty()) {
-      sink = new NullLogSink();
-    } else if (options_.log_segment_bytes > 0) {
-      sink = new SegmentedLogSink(
-          options_.log_path,
-          SegmentedLogSink::Options{options_.log_segment_bytes,
-                                    options_.fsync_log},
-          &stats_);
-    } else {
-      sink = new FileLogSink(options_.log_path, options_.fsync_log, &stats_);
-    }
-  }
-  logger_ = std::make_unique<Logger>(options_.log_mode, sink,
-                                     options_.group_commit_us, &stats_,
-                                     &hists_);
   gc_ = std::make_unique<GarbageCollector>(txn_table_, epoch_, stats_,
                                            options_.gc_interval_us);
   gc_->SetHistograms(&hists_);
@@ -89,20 +66,10 @@ MVEngine::~MVEngine() {
     txn_pool_.Release(t);
   }
   // Drain the GC queue completely: with no live transactions, the watermark
-  // passes everything.
+  // passes everything. Retired transactions go back to txn_pool_, so the
+  // epoch drains here, before the pool dies; ~EngineCore frees the rows.
   gc_->RunOnce();
   epoch_.DrainAll();
-  // Free versions still linked in the indexes (the live database image).
-  for (uint32_t tid = 0; tid < catalog_.num_tables(); ++tid) {
-    Table& table = catalog_.table(tid);
-    if (table.num_indexes() == 0) continue;
-    std::vector<Version*> versions;
-    table.index(0).ScanAll([&](Version* v) {
-      versions.push_back(v);
-      return true;
-    });
-    for (Version* v : versions) table.FreeUnpublishedVersion(v);
-  }
 }
 
 Transaction* MVEngine::Begin(IsolationLevel isolation, bool pessimistic,
@@ -120,11 +87,8 @@ Transaction* MVEngine::Begin(IsolationLevel isolation, bool pessimistic,
   Transaction* txn =
       txn_pool_.Acquire(id_gen_.Next(), isolation, pessimistic, read_only);
   // Sampled commit-pipeline tracing: the decision rides start_ticks so a
-  // sampled transaction gets a coherent whole-pipeline trace. slow_txn_us
-  // forces every commit to be timed (see obs::SampleThisTxn).
-  if (hists_.enabled() && (slow_txn_ticks_ != 0 || obs::SampleThisTxn())) {
-    txn->start_ticks = obs::NowTicks();
-  }
+  // sampled transaction gets a coherent whole-pipeline trace.
+  txn->start_ticks = SampleStartTicks();
   // Publish with begin_ts == 0 first: the GC watermark treats an unknown
   // begin timestamp as "could be anything", so no version this transaction
   // might see can be reclaimed in the window before the timestamp is set.
@@ -493,9 +457,10 @@ Version* MVEngine::FindVisible(Transaction* txn, Table& table, IndexId index_id,
   return found;
 }
 
-Status MVEngine::Scan(Transaction* txn, TableId table_id, IndexId index_id,
+Status MVEngine::Scan(Txn* handle, TableId table_id, IndexId index_id,
                       uint64_t key, const Predicate& residual,
                       const ScanConsumer& consumer) {
+  auto* txn = static_cast<Transaction*>(handle);
   if (txn->abort_now.load(std::memory_order_acquire)) {
     return DoAbort(txn, KillReason(txn));
   }
@@ -567,10 +532,10 @@ Status MVEngine::Scan(Transaction* txn, TableId table_id, IndexId index_id,
   return result;
 }
 
-Status MVEngine::ScanRange(Transaction* txn, TableId table_id,
-                           IndexId index_id, uint64_t lo, uint64_t hi,
-                           const Predicate& residual,
+Status MVEngine::ScanRange(Txn* handle, TableId table_id, IndexId index_id,
+                           uint64_t lo, uint64_t hi, const Predicate& residual,
                            const ScanConsumer& consumer) {
+  auto* txn = static_cast<Transaction*>(handle);
   if (txn->abort_now.load(std::memory_order_acquire)) {
     return DoAbort(txn, KillReason(txn));
   }
@@ -625,8 +590,9 @@ Status MVEngine::ScanRange(Transaction* txn, TableId table_id,
   return result;
 }
 
-Status MVEngine::ScanTable(Transaction* txn, TableId table_id,
+Status MVEngine::ScanTable(Txn* handle, TableId table_id,
                            const ScanConsumer& consumer) {
+  auto* txn = static_cast<Transaction*>(handle);
   if (txn->abort_now.load(std::memory_order_acquire)) {
     return DoAbort(txn, KillReason(txn));
   }
@@ -647,20 +613,6 @@ Status MVEngine::ScanTable(Transaction* txn, TableId table_id,
   });
   if (result.IsAborted()) return DoAbort(txn, result.abort_reason());
   return result;
-}
-
-Status MVEngine::Read(Transaction* txn, TableId table_id, IndexId index_id,
-                      uint64_t key, void* out) {
-  Table& table = catalog_.table(table_id);
-  bool found = false;
-  Status s = Scan(txn, table_id, index_id, key, nullptr,
-                  [&](const void* payload) {
-                    std::memcpy(out, payload, table.payload_size());
-                    found = true;
-                    return false;
-                  });
-  if (!s.ok()) return s;
-  return found ? Status::OK() : Status::NotFound();
 }
 
 namespace {
@@ -686,8 +638,8 @@ bool IsInFlightInsert(TxnTable& txn_table, Version* v, TxnId self) {
 
 }  // namespace
 
-Status MVEngine::Insert(Transaction* txn, TableId table_id,
-                        const void* payload) {
+Status MVEngine::Insert(Txn* handle, TableId table_id, const void* payload) {
+  auto* txn = static_cast<Transaction*>(handle);
   if (txn->read_only) return Status::InvalidArgument();
   if (txn->abort_now.load(std::memory_order_acquire)) {
     return DoAbort(txn, KillReason(txn));
@@ -749,8 +701,9 @@ Status MVEngine::Insert(Transaction* txn, TableId table_id,
   return Status::OK();
 }
 
-Status MVEngine::Update(Transaction* txn, TableId table_id, IndexId index_id,
+Status MVEngine::Update(Txn* handle, TableId table_id, IndexId index_id,
                         uint64_t key, const Mutator& mutator) {
+  auto* txn = static_cast<Transaction*>(handle);
   if (txn->read_only) return Status::InvalidArgument();
   if (txn->abort_now.load(std::memory_order_acquire)) {
     return DoAbort(txn, KillReason(txn));
@@ -791,8 +744,9 @@ Status MVEngine::Update(Transaction* txn, TableId table_id, IndexId index_id,
   return Status::OK();
 }
 
-Status MVEngine::Delete(Transaction* txn, TableId table_id, IndexId index_id,
+Status MVEngine::Delete(Txn* handle, TableId table_id, IndexId index_id,
                         uint64_t key) {
+  auto* txn = static_cast<Transaction*>(handle);
   if (txn->read_only) return Status::InvalidArgument();
   if (txn->abort_now.load(std::memory_order_acquire)) {
     return DoAbort(txn, KillReason(txn));
@@ -960,8 +914,7 @@ Status MVEngine::ValidateRangeScans(Transaction* txn) {
 }
 
 void MVEngine::WriteLog(Transaction* txn) {
-  if (logger_->mode() == LogMode::kDisabled || txn->write_set.empty()) return;
-  if (logger_->replay_paused()) return;  // recovery: record already on disk
+  if (!LogsCommits() || txn->write_set.empty()) return;
   thread_local std::vector<uint8_t> buffer;
   buffer.clear();
   LogRecordBuilder builder(buffer);
@@ -1079,23 +1032,19 @@ Status MVEngine::DoAbort(Transaction* txn, AbortReason reason) {
   return Status::Aborted(reason);
 }
 
-void MVEngine::Abort(Transaction* txn) {
-  DoAbort(txn, AbortReason::kUserRequested);
+void MVEngine::Abort(Txn* txn) {
+  DoAbort(static_cast<Transaction*>(txn), AbortReason::kUserRequested);
 }
 
-Status MVEngine::Commit(Transaction* txn) {
+Status MVEngine::Commit(Txn* handle) {
+  auto* txn = static_cast<Transaction*>(handle);
   // No epoch guard across this function: it contains blocking waits, and
   // pinning an epoch while blocked would stall reclamation engine-wide.
   //
-  // Phase timing (docs/OBSERVABILITY.md): one NowTicks() read per phase
-  // boundary on the transactions Begin() picked for tracing (1 in 32 per
-  // thread — see obs::SampleThisTxn; slow_txn_us forces every commit),
-  // nothing but this branch otherwise. Validate = entry through the
+  // Phase timing (docs/OBSERVABILITY.md): validate = entry through the
   // commit-dep wait; log append = WriteLog minus the group-commit wait the
   // Logger measures itself.
-  const bool timed = slow_txn_ticks_ != 0 ||
-                     (txn->start_ticks != 0 && hists_.enabled());
-  const uint64_t t_enter = timed ? obs::NowTicks() : 0;
+  CommitTimer timer(*this, txn->start_ticks);
   if (txn->abort_now.load(std::memory_order_acquire)) {
     return DoAbort(txn, KillReason(txn));
   }
@@ -1151,19 +1100,11 @@ Status MVEngine::Commit(Transaction* txn) {
   if (txn->abort_now.load(std::memory_order_acquire)) {
     return DoAbort(txn, KillReason(txn));
   }
-  const uint64_t t_validated = timed ? obs::NowTicks() : 0;
+  timer.MarkValidated();
 
   // Log and commit.
   WriteLog(txn);
-  // Append resets the thread-local wait on entry; guard against commits
-  // whose WriteLog never reached Append (empty write set, disabled or
-  // paused logger) reading a previous commit's wait.
-  const uint64_t group_wait_ticks =
-      (timed && !txn->write_set.empty() &&
-       logger_->mode() != LogMode::kDisabled && !logger_->replay_paused())
-          ? Logger::LastGroupWaitTicks()
-          : 0;
-  const uint64_t t_logged = timed ? obs::NowTicks() : 0;
+  timer.MarkLogged(!txn->write_set.empty() && LogsCommits());
   txn->state.store(TxnState::kCommitted, std::memory_order_seq_cst);
   {
     EpochGuard guard(epoch_);
@@ -1173,32 +1114,9 @@ Status MVEngine::Commit(Transaction* txn) {
   stats_.Add(Stat::kTxnCommitted);
   const uint64_t writes = txn->write_set.size();
   const TxnId txn_id = txn->id;
-  const uint64_t start_ticks = txn->start_ticks;
   Terminate(txn, /*committed=*/true);
   gc_->Cooperate(options_.cooperative_gc_budget);
-  if (timed) {
-    const uint64_t t_done = obs::NowTicks();
-    const uint64_t total = t_done - t_enter;
-    const uint64_t log_span = t_logged - t_validated;
-    hists_.Record(obs::Hist::kCommitTotal, total);
-    hists_.Record(obs::Hist::kCommitValidate, t_validated - t_enter);
-    hists_.Record(obs::Hist::kCommitLogAppend,
-                  log_span - std::min(log_span, group_wait_ticks));
-    if (start_ticks != 0) {
-      hists_.Record(obs::Hist::kTxnLifetime, t_done - start_ticks);
-    }
-    if (slow_txn_ticks_ != 0 && total >= slow_txn_ticks_) {
-      obs::CommitTrace trace;
-      trace.scheme = "mv";
-      trace.txn_id = txn_id;
-      trace.total_ticks = total;
-      trace.validate_ticks = t_validated - t_enter;
-      trace.log_append_ticks = log_span - std::min(log_span, group_wait_ticks);
-      trace.group_wait_ticks = group_wait_ticks;
-      trace.writes = writes;
-      obs::LogSlowTxn(trace, &stats_);
-    }
-  }
+  RecordCommit(timer, txn_id, writes);
   return Status::OK();
 }
 

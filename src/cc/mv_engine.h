@@ -12,45 +12,29 @@
 // latched sets, exactly as the paper's dependency machinery prescribes.
 #pragma once
 
-#include <functional>
 #include <memory>
 
 #include "cc/bucket_lock.h"
 #include "cc/deadlock.h"
 #include "cc/visibility.h"
-#include "common/counters.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "core/engine_core.h"
 #include "gc/garbage_collector.h"
-#include "log/logger.h"
 #include "mem/object_pool.h"
-#include "obs/histogram.h"
-#include "storage/table.h"
 #include "txn/timestamp.h"
 #include "txn/transaction.h"
 #include "txn/txn_table.h"
-#include "util/epoch.h"
 
 namespace mvstore {
 
-struct MVEngineOptions {
+/// MV-specific settings; the log, memory and observability settings come
+/// from EngineOptions.
+struct MVEngineOptions : EngineOptions {
   /// Optimistic transactions honor MV/L read/bucket locks (Section 4.5).
   /// Irrelevant when no pessimistic transactions run, except for the small
   /// cost of the precommit wait-for barrier.
   bool honor_locks = true;
-
-  /// Redo logging (paper default: asynchronous group commit).
-  LogMode log_mode = LogMode::kAsync;
-  /// Empty = NullLogSink (count bytes only); otherwise a file path.
-  std::string log_path;
-  /// fsync each flushed batch (see DatabaseOptions::fsync_log).
-  bool fsync_log = false;
-  /// > 0: log_path names a rotating-segment prefix (log/log_segment.h) and
-  /// segments rotate at this size, enabling checkpoint truncation.
-  /// 0: log_path is one append-only file (no rotation, no truncation).
-  uint64_t log_segment_bytes = 0;
-  /// Group-commit window (see Logger); 0 = flush as soon as possible.
-  uint32_t group_commit_us = 0;
 
   /// Background garbage collection sweep interval; 0 disables the thread
   /// (cooperative GC still runs).
@@ -65,42 +49,15 @@ struct MVEngineOptions {
   /// of this size (txn/timestamp.h); 1 = unbatched (every commit touches
   /// the shared cacheline, the pre-Section-6 behavior).
   uint32_t ts_block_size = TimestampGenerator::kDefaultBlockSize;
-
-  /// Recycle version slots through per-table slabs and transaction objects
-  /// through a pool (mem/). Off = every version/transaction is a global
-  /// heap allocation -- slower, but gives ASan-style tooling full lifetime
-  /// visibility.
-  bool use_slab_allocator = true;
-
-  /// Record commit-pipeline phase latencies into obs/ histograms
-  /// (docs/OBSERVABILITY.md). Off = Record() is a single relaxed load.
-  bool enable_latency_histograms = true;
-
-  /// Commits slower than this emit one rate-limited slow-txn log line with
-  /// the per-phase breakdown (obs/slow_txn.h); 0 disables.
-  uint64_t slow_txn_us = 0;
 };
 
-/// Callback deciding whether a payload matches a residual predicate.
-using Predicate = std::function<bool(const void* payload)>;
-/// Scan consumer; return false to stop the scan.
-using ScanConsumer = std::function<bool(const void* payload)>;
-/// In-place payload editor used by Update (applied to a private copy).
-using Mutator = std::function<void(void* payload)>;
-
-class MVEngine {
+class MVEngine final : public EngineCore {
  public:
-  explicit MVEngine(MVEngineOptions options = {});
-  ~MVEngine();
-
-  MVEngine(const MVEngine&) = delete;
-  MVEngine& operator=(const MVEngine&) = delete;
-
-  /// --- schema ---------------------------------------------------------------
-
-  TableId CreateTable(TableDef def) { return catalog_.CreateTable(std::move(def)); }
-  Table& table(TableId id) { return catalog_.table(id); }
-  Catalog& catalog() { return catalog_; }
+  /// `scheme` (MV/L or MV/O) picks the transaction kind BeginTxn hands out;
+  /// Begin can start either kind on the same engine.
+  explicit MVEngine(MVEngineOptions options = {},
+                    Scheme scheme = Scheme::kMultiVersionOptimistic);
+  ~MVEngine() override;
 
   /// --- transaction lifecycle -------------------------------------------------
 
@@ -108,33 +65,26 @@ class MVEngine {
   /// MV/O (validation).
   Transaction* Begin(IsolationLevel isolation, bool pessimistic,
                      bool read_only = false);
+  Txn* BeginTxn(IsolationLevel isolation, bool read_only) override {
+    return Begin(isolation, scheme() == Scheme::kMultiVersionLocking,
+                 read_only);
+  }
 
-  /// Commit; on any failure the transaction is aborted internally and the
-  /// returned status carries the abort reason. The handle is invalid after
-  /// this call either way.
-  Status Commit(Transaction* txn);
-
-  /// User-requested abort. The handle is invalid after this call.
-  void Abort(Transaction* txn);
+  Status Commit(Txn* txn) override;
+  void Abort(Txn* txn) override;
+  bool HasWrites(const Txn* txn) const override {
+    return !static_cast<const Transaction*>(txn)->write_set.empty();
+  }
 
   /// --- data operations --------------------------------------------------------
-  ///
-  /// All operations return kAborted statuses when the transaction must die;
-  /// the engine has already aborted it in that case and the handle is
-  /// invalid. kNotFound / kAlreadyExists leave the transaction running.
-
-  /// Read the first visible version matching `key` on `index_id`; copies the
-  /// payload into `out` (payload_size bytes).
-  Status Read(Transaction* txn, TableId table_id, IndexId index_id,
-              uint64_t key, void* out);
 
   /// Scan all visible versions matching `key` (plus optional residual
   /// predicate). Serializable transactions register the scan for phantom
   /// protection (MV/O: ScanSet; MV/L: bucket lock). On an ordered index
   /// this is ScanRange(key, key).
-  Status Scan(Transaction* txn, TableId table_id, IndexId index_id,
-              uint64_t key, const Predicate& residual,
-              const ScanConsumer& consumer);
+  Status Scan(Txn* txn, TableId table_id, IndexId index_id, uint64_t key,
+              const Predicate& residual,
+              const ScanConsumer& consumer) override;
 
   /// Visit every visible version whose `index_id` key lies in [lo, hi], in
   /// ascending key order, applying the paper's visibility rules per version
@@ -143,9 +93,9 @@ class MVEngine {
   /// record the range in their RangeScanSet; it is rescanned at precommit
   /// and a version that became visible during the transaction's lifetime
   /// aborts it (phantom).
-  Status ScanRange(Transaction* txn, TableId table_id, IndexId index_id,
-                   uint64_t lo, uint64_t hi, const Predicate& residual,
-                   const ScanConsumer& consumer);
+  Status ScanRange(Txn* txn, TableId table_id, IndexId index_id, uint64_t lo,
+                   uint64_t hi, const Predicate& residual,
+                   const ScanConsumer& consumer) override;
 
   /// Visit every visible row of the table as of the transaction's read time
   /// by scanning all buckets of the primary index (Section 2.1: "To scan a
@@ -153,31 +103,32 @@ class MVEngine {
   /// No phantom protection is registered -- full scans are intended for
   /// snapshot / read-committed readers (reporting); serializable callers
   /// needing full-table stability should use per-key Scans.
-  Status ScanTable(Transaction* txn, TableId table_id,
-                   const ScanConsumer& consumer);
+  Status ScanTable(Txn* txn, TableId table_id,
+                   const ScanConsumer& consumer) override;
 
   /// Insert a new record. Fails with kAlreadyExists if the primary (unique)
   /// index already holds a visible or in-flight record with the same key.
-  Status Insert(Transaction* txn, TableId table_id, const void* payload);
+  Status Insert(Txn* txn, TableId table_id, const void* payload) override;
 
   /// Update the first visible version matching `key`: copies it, applies
   /// `mutator`, installs the new version.
-  Status Update(Transaction* txn, TableId table_id, IndexId index_id,
-                uint64_t key, const Mutator& mutator);
+  Status Update(Txn* txn, TableId table_id, IndexId index_id, uint64_t key,
+                const Mutator& mutator) override;
 
   /// Delete the first visible version matching `key`.
-  Status Delete(Transaction* txn, TableId table_id, IndexId index_id,
-                uint64_t key);
+  Status Delete(Txn* txn, TableId table_id, IndexId index_id,
+                uint64_t key) override;
+
+  Timestamp CommitClock() const override { return ts_gen_.Current(); }
+  void AdvanceCommitClock(Timestamp floor) override {
+    ts_gen_.AdvanceTo(floor);
+  }
 
   /// --- infrastructure access ---------------------------------------------------
 
-  EpochManager& epoch() { return epoch_; }
   TxnTable& txn_table() { return txn_table_; }
   TimestampGenerator& ts_gen() { return ts_gen_; }
-  StatsCollector& stats() { return stats_; }
-  obs::LatencyHistograms& hists() { return hists_; }
   GarbageCollector& gc() { return *gc_; }
-  Logger& logger() { return *logger_; }
   DeadlockDetector& deadlock_detector() { return *deadlock_; }
   const MVEngineOptions& options() const { return options_; }
 
@@ -256,21 +207,11 @@ class MVEngine {
   void DrainWaitingList(Transaction* txn);
 
   MVEngineOptions options_;
-  /// stats_ precedes catalog_ and txn_pool_: table slabs and the pool flush
-  /// local counters into it on destruction. hists_ keeps the same position
-  /// for the same reason (the logger records group waits until it dies).
-  StatsCollector stats_;
-  obs::LatencyHistograms hists_;
-  /// Precomputed SlowTxnThresholdTicks(options_.slow_txn_us); 0 = disabled.
-  uint64_t slow_txn_ticks_ = 0;
-  Catalog catalog_;
   ObjectPool<Transaction> txn_pool_;
-  EpochManager epoch_;
   TxnTable txn_table_;
   TimestampGenerator ts_gen_;
   TxnIdGenerator id_gen_;
   BucketLockTable bucket_locks_;
-  std::unique_ptr<Logger> logger_;
   std::unique_ptr<GarbageCollector> gc_;
   std::unique_ptr<DeadlockDetector> deadlock_;
 };

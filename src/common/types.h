@@ -60,4 +60,15 @@ inline const char* SchemeName(Scheme scheme) {
   return "Unknown";
 }
 
+/// Opaque transaction handle (core/engine_core.h). Each engine derives its
+/// own transaction type from it (Transaction for MV, SVTransaction for 1V)
+/// and owns the object between Begin and Commit/Abort; a kAborted status
+/// from any operation means the engine already rolled the transaction back
+/// and the handle is dead.
+class Txn {
+ protected:
+  Txn() = default;
+  ~Txn() = default;
+};
+
 }  // namespace mvstore

@@ -111,9 +111,10 @@ Status Checkpointer::Take(CheckpointStats* stats) {
   //    read time. 1V: the commit clock *before* the fuzzy scan (see header).
   Txn* snap = nullptr;
   Timestamp snapshot_ts;
-  if (db_.mv_engine() != nullptr) {
+  if (db_.scheme() != Scheme::kSingleVersion) {
     snap = db_.Begin(IsolationLevel::kSnapshot, /*read_only=*/true);
-    snapshot_ts = snap->mv->begin_ts.load(std::memory_order_acquire);
+    snapshot_ts = static_cast<Transaction*>(snap)->begin_ts.load(
+        std::memory_order_acquire);
   } else {
     snapshot_ts = db_.LastCommitTimestamp();
   }

@@ -66,10 +66,8 @@ class Checkpointer {
   struct Options {
     /// Checkpoint file path (published atomically via `<path>.tmp` rename).
     std::string path;
-    /// Delete fully-covered log segments after the checkpoint is durable.
-    /// Only effective with a segmented log sink; a single-file log keeps
-    /// all bytes (and recovery simply skips the covered prefix by
-    /// timestamp).
+    /// Delete fully-covered log segments after the checkpoint is durable
+    /// (a database without an on-disk log has nothing to delete).
     bool truncate_log = true;
   };
 

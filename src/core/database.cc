@@ -3,38 +3,33 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "cc/mv_engine.h"
+#include "sv/sv_engine.h"
+
 namespace mvstore {
 
-Database::Database(DatabaseOptions options)
-    : options_(options), txn_handle_pool_(options_.use_slab_allocator) {
-  if (options_.scheme == Scheme::kSingleVersion) {
+namespace {
+
+std::unique_ptr<EngineCore> MakeEngine(const DatabaseOptions& options) {
+  if (options.scheme == Scheme::kSingleVersion) {
     SVEngineOptions sv;
-    sv.lock_timeout_us = options_.lock_timeout_us;
-    sv.log_mode = options_.log_mode;
-    sv.log_path = options_.log_path;
-    sv.fsync_log = options_.fsync_log;
-    sv.log_segment_bytes = options_.log_segment_bytes;
-    sv.group_commit_us = options_.group_commit_us;
-    sv.use_slab_allocator = options_.use_slab_allocator;
-    sv.enable_latency_histograms = options_.enable_latency_histograms;
-    sv.slow_txn_us = options_.slow_txn_us;
-    sv_ = std::make_unique<SVEngine>(sv);
-  } else {
-    MVEngineOptions mv;
-    mv.honor_locks = options_.honor_locks;
-    mv.log_mode = options_.log_mode;
-    mv.log_path = options_.log_path;
-    mv.fsync_log = options_.fsync_log;
-    mv.log_segment_bytes = options_.log_segment_bytes;
-    mv.group_commit_us = options_.group_commit_us;
-    mv.gc_interval_us = options_.gc_interval_us;
-    mv.deadlock_interval_us = options_.deadlock_interval_us;
-    mv.ts_block_size = options_.ts_block_size;
-    mv.use_slab_allocator = options_.use_slab_allocator;
-    mv.enable_latency_histograms = options_.enable_latency_histograms;
-    mv.slow_txn_us = options_.slow_txn_us;
-    mv_ = std::make_unique<MVEngine>(mv);
+    static_cast<EngineOptions&>(sv) = options;
+    sv.lock_timeout_us = options.lock_timeout_us;
+    return std::make_unique<SVEngine>(sv);
   }
+  MVEngineOptions mv;
+  static_cast<EngineOptions&>(mv) = options;
+  mv.honor_locks = options.honor_locks;
+  mv.gc_interval_us = options.gc_interval_us;
+  mv.deadlock_interval_us = options.deadlock_interval_us;
+  mv.ts_block_size = options.ts_block_size;
+  return std::make_unique<MVEngine>(mv, options.scheme);
+}
+
+}  // namespace
+
+Database::Database(DatabaseOptions options)
+    : options_(std::move(options)), engine_(MakeEngine(options_)) {
   // A dead sink at construction (bad path, permissions, full disk) means
   // every commit from here on would silently lose durability; say so once,
   // loudly. Database::Open turns this into a hard error.
@@ -49,59 +44,37 @@ Database::Database(DatabaseOptions options)
 Database::~Database() = default;
 
 TableId Database::CreateTable(TableDef def) {
-  return mv_ != nullptr ? mv_->CreateTable(std::move(def))
-                        : sv_->CreateTable(std::move(def));
+  return engine_->CreateTable(std::move(def));
 }
 
 uint32_t Database::PayloadSize(TableId table_id) {
-  return mv_ != nullptr ? mv_->table(table_id).payload_size()
-                        : sv_->table(table_id).payload_size();
+  return engine_->table(table_id).payload_size();
 }
 
-uint32_t Database::NumTables() {
-  return mv_ != nullptr ? mv_->catalog().num_tables()
-                        : sv_->catalog().num_tables();
-}
+uint32_t Database::NumTables() { return engine_->catalog().num_tables(); }
 
 uint32_t Database::NumIndexes(TableId table_id) {
-  return mv_ != nullptr ? mv_->table(table_id).num_indexes()
-                        : sv_->table(table_id).num_indexes();
+  return engine_->table(table_id).num_indexes();
 }
 
 const std::string& Database::TableName(TableId table_id) {
-  return mv_ != nullptr ? mv_->table(table_id).name()
-                        : sv_->table(table_id).name();
+  return engine_->table(table_id).name();
 }
 
 uint64_t Database::PrimaryKeyOfPayload(TableId table_id, const void* payload) {
-  Table& table = mv_ != nullptr ? mv_->table(table_id) : sv_->table(table_id);
-  return table.IndexKeyOfPayload(0, payload);
+  return engine_->table(table_id).IndexKeyOfPayload(0, payload);
 }
 
-Logger& Database::logger() {
-  return mv_ != nullptr ? mv_->logger() : sv_->logger();
-}
+Logger& Database::logger() { return engine_->logger(); }
 
-Timestamp Database::LastCommitTimestamp() {
-  return mv_ != nullptr ? mv_->ts_gen().Current() : sv_->commit_clock();
-}
+Timestamp Database::LastCommitTimestamp() { return engine_->CommitClock(); }
 
 void Database::AdvanceCommitTimestamp(Timestamp floor) {
-  if (mv_ != nullptr) {
-    mv_->ts_gen().AdvanceTo(floor);
-  } else {
-    sv_->AdvanceCommitClock(floor);
-  }
+  engine_->AdvanceCommitClock(floor);
 }
 
 Txn* Database::Begin(IsolationLevel isolation, bool read_only) {
-  if (mv_ != nullptr) {
-    bool pessimistic = options_.scheme == Scheme::kMultiVersionLocking;
-    return txn_handle_pool_.Acquire(
-        mv_->Begin(isolation, pessimistic, read_only), nullptr, isolation);
-  }
-  return txn_handle_pool_.Acquire(nullptr, sv_->Begin(isolation, read_only),
-                                  isolation);
+  return engine_->BeginTxn(isolation, read_only);
 }
 
 void Database::EnterReadOnlyMode(const char* why) {
@@ -133,22 +106,15 @@ bool Database::WriteAllowed(bool check_sink) {
 }
 
 Status Database::Commit(Txn* txn) {
-  const bool has_writes = txn->mv != nullptr ? !txn->mv->write_set.empty()
-                                             : !txn->sv->undo.empty();
+  const bool has_writes = engine_->HasWrites(txn);
   if (has_writes && MVSTORE_UNLIKELY(!WriteAllowed(/*check_sink=*/true))) {
     // Refuse before anything becomes visible or reaches the log: roll the
     // transaction back and report the degradation instead of acknowledging
     // a commit that could never be durable.
-    if (txn->mv != nullptr) {
-      mv_->Abort(txn->mv);
-    } else {
-      sv_->Abort(txn->sv);
-    }
-    ReleaseTxn(txn);
+    engine_->Abort(txn);
     return Status::ReadOnly();
   }
-  Status s = txn->mv != nullptr ? mv_->Commit(txn->mv) : sv_->Commit(txn->sv);
-  ReleaseTxn(txn);
+  Status s = engine_->Commit(txn);
   if (has_writes && options_.log_mode != LogMode::kDisabled &&
       MVSTORE_UNLIKELY(!log_status().ok())) {
     EnterReadOnlyMode("log write/fsync failure during commit");
@@ -163,68 +129,38 @@ Status Database::Commit(Txn* txn) {
   return s;
 }
 
-void Database::Abort(Txn* txn) {
-  if (txn->mv != nullptr) {
-    mv_->Abort(txn->mv);
-  } else {
-    sv_->Abort(txn->sv);
-  }
-  ReleaseTxn(txn);
-}
+void Database::Abort(Txn* txn) { engine_->Abort(txn); }
 
 Status Database::Read(Txn* txn, TableId table_id, IndexId index_id,
                       uint64_t key, void* out) {
-  obs::LatencyHistograms& h = hists();
-  const uint64_t t_start = h.enabled() ? obs::NowTicks() : 0;
-  Status s = txn->mv != nullptr
-                 ? mv_->Read(txn->mv, table_id, index_id, key, out)
-                 : sv_->Read(txn->sv, table_id, index_id, key, out);
-  if (t_start != 0) h.RecordSince(obs::Hist::kReadLatency, t_start);
-  if (s.IsAborted()) ReleaseTxn(txn);
-  return s;
+  return Timed(obs::Hist::kReadLatency, [&] {
+    return engine_->Read(txn, table_id, index_id, key, out);
+  });
 }
 
 Status Database::Scan(Txn* txn, TableId table_id, IndexId index_id,
                       uint64_t key,
                       const std::function<bool(const void*)>& residual,
                       const std::function<bool(const void*)>& consumer) {
-  obs::LatencyHistograms& h = hists();
-  const uint64_t t_start = h.enabled() ? obs::NowTicks() : 0;
-  Status s =
-      txn->mv != nullptr
-          ? mv_->Scan(txn->mv, table_id, index_id, key, residual, consumer)
-          : sv_->Scan(txn->sv, table_id, index_id, key, residual, consumer);
-  if (t_start != 0) h.RecordSince(obs::Hist::kScanLatency, t_start);
-  if (s.IsAborted()) ReleaseTxn(txn);
-  return s;
+  return Timed(obs::Hist::kScanLatency, [&] {
+    return engine_->Scan(txn, table_id, index_id, key, residual, consumer);
+  });
 }
 
 Status Database::ScanRange(Txn* txn, TableId table_id, IndexId index_id,
                            uint64_t lo, uint64_t hi,
                            const std::function<bool(const void*)>& residual,
                            const std::function<bool(const void*)>& consumer) {
-  obs::LatencyHistograms& h = hists();
-  const uint64_t t_start = h.enabled() ? obs::NowTicks() : 0;
-  Status s = txn->mv != nullptr
-                 ? mv_->ScanRange(txn->mv, table_id, index_id, lo, hi,
-                                  residual, consumer)
-                 : sv_->ScanRange(txn->sv, table_id, index_id, lo, hi,
-                                  residual, consumer);
-  if (t_start != 0) h.RecordSince(obs::Hist::kScanLatency, t_start);
-  if (s.IsAborted()) ReleaseTxn(txn);
-  return s;
+  return Timed(obs::Hist::kScanLatency, [&] {
+    return engine_->ScanRange(txn, table_id, index_id, lo, hi, residual,
+                              consumer);
+  });
 }
 
 Status Database::ScanTable(Txn* txn, TableId table_id,
                            const std::function<bool(const void*)>& consumer) {
-  obs::LatencyHistograms& h = hists();
-  const uint64_t t_start = h.enabled() ? obs::NowTicks() : 0;
-  Status s = txn->mv != nullptr
-                 ? mv_->ScanTable(txn->mv, table_id, consumer)
-                 : sv_->ScanTable(txn->sv, table_id, consumer);
-  if (t_start != 0) h.RecordSince(obs::Hist::kScanLatency, t_start);
-  if (s.IsAborted()) ReleaseTxn(txn);
-  return s;
+  return Timed(obs::Hist::kScanLatency,
+               [&] { return engine_->ScanTable(txn, table_id, consumer); });
 }
 
 Status Database::Insert(Txn* txn, TableId table_id, const void* payload) {
@@ -233,10 +169,7 @@ Status Database::Insert(Txn* txn, TableId table_id, const void* payload) {
   if (MVSTORE_UNLIKELY(!WriteAllowed(/*check_sink=*/false))) {
     return Status::ReadOnly();
   }
-  Status s = txn->mv != nullptr ? mv_->Insert(txn->mv, table_id, payload)
-                                : sv_->Insert(txn->sv, table_id, payload);
-  if (s.IsAborted()) ReleaseTxn(txn);
-  return s;
+  return engine_->Insert(txn, table_id, payload);
 }
 
 Status Database::Update(Txn* txn, TableId table_id, IndexId index_id,
@@ -245,12 +178,7 @@ Status Database::Update(Txn* txn, TableId table_id, IndexId index_id,
   if (MVSTORE_UNLIKELY(!WriteAllowed(/*check_sink=*/false))) {
     return Status::ReadOnly();
   }
-  Status s =
-      txn->mv != nullptr
-          ? mv_->Update(txn->mv, table_id, index_id, key, mutator)
-          : sv_->Update(txn->sv, table_id, index_id, key, mutator);
-  if (s.IsAborted()) ReleaseTxn(txn);
-  return s;
+  return engine_->Update(txn, table_id, index_id, key, mutator);
 }
 
 Status Database::Delete(Txn* txn, TableId table_id, IndexId index_id,
@@ -258,11 +186,7 @@ Status Database::Delete(Txn* txn, TableId table_id, IndexId index_id,
   if (MVSTORE_UNLIKELY(!WriteAllowed(/*check_sink=*/false))) {
     return Status::ReadOnly();
   }
-  Status s = txn->mv != nullptr
-                 ? mv_->Delete(txn->mv, table_id, index_id, key)
-                 : sv_->Delete(txn->sv, table_id, index_id, key);
-  if (s.IsAborted()) ReleaseTxn(txn);
-  return s;
+  return engine_->Delete(txn, table_id, index_id, key);
 }
 
 Status Database::RunTransaction(IsolationLevel isolation,
@@ -283,12 +207,20 @@ Status Database::RunTransaction(IsolationLevel isolation,
   return s;
 }
 
-StatsCollector& Database::stats() {
-  return mv_ != nullptr ? mv_->stats() : sv_->stats();
+StatsCollector& Database::stats() { return engine_->stats(); }
+
+obs::LatencyHistograms& Database::hists() { return engine_->hists(); }
+
+MVEngine* Database::mv_engine() {
+  return scheme() == Scheme::kSingleVersion
+             ? nullptr
+             : static_cast<MVEngine*>(engine_.get());
 }
 
-obs::LatencyHistograms& Database::hists() {
-  return mv_ != nullptr ? mv_->hists() : sv_->hists();
+SVEngine* Database::sv_engine() {
+  return scheme() == Scheme::kSingleVersion
+             ? static_cast<SVEngine*>(engine_.get())
+             : nullptr;
 }
 
 std::vector<std::pair<std::string, uint64_t>> Database::CounterSnapshot() {

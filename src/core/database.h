@@ -24,39 +24,25 @@
 #include <utility>
 #include <vector>
 
-#include "cc/mv_engine.h"
 #include "common/mutex.h"
 #include "common/port.h"
 #include "common/status.h"
 #include "common/types.h"
-#include "mem/object_pool.h"
+#include "core/engine_core.h"
 #include "storage/table.h"
-#include "sv/sv_engine.h"
 
 namespace mvstore {
 
-struct DatabaseOptions {
+/// Everything EngineOptions holds (log, memory, observability) plus the
+/// scheme, the durability files, and each scheme's own settings.
+struct DatabaseOptions : EngineOptions {
+  /// Sanitizer builds (TSan/ASan/UBSan, common/port.h) default the memory
+  /// subsystem off: recycling hides object lifetimes from the tools. Tests
+  /// that target the slabs opt back in.
+  DatabaseOptions() { use_slab_allocator = !kSanitizerBuild; }
+
   Scheme scheme = Scheme::kMultiVersionOptimistic;
 
-  /// Logging (paper configuration: asynchronous group commit).
-  LogMode log_mode = LogMode::kAsync;
-  /// Empty: in-memory byte-counting sink. Otherwise a file path (or, with
-  /// log_segment_bytes > 0, a rotating-segment prefix). Existing log data on
-  /// the path is preserved: sinks open in append mode, so a reopened
-  /// database continues the log rather than truncating history. Use
-  /// Database::Open (or RecoverDatabase) to replay that history first.
-  std::string log_path;
-  /// Durability of file-backed logs. Default (false): batches are flushed
-  /// with fflush only — they survive a process crash but NOT an OS crash or
-  /// power loss. Set true to fsync every flushed batch (real durability;
-  /// with LogMode::kSync, commit then waits on an fsync'd batch). Only
-  /// meaningful when log_path is set.
-  bool fsync_log = false;
-  /// > 0: segmented log — log_path is a prefix producing
-  /// `<log_path>.<seq>.seg` files rotated at this size, which is what lets a
-  /// completed checkpoint delete (truncate) covered segments. 0: log_path is
-  /// one append-only file; checkpoints still work but reclaim nothing.
-  uint64_t log_segment_bytes = 0;
   /// Checkpoint file location used by Database::Checkpoint() and by
   /// Database::Open() at recovery. Empty: no checkpointing; recovery is a
   /// full-log replay.
@@ -65,14 +51,6 @@ struct DatabaseOptions {
   /// log streams" observation: records partition by primary key and replay
   /// in end-timestamp order per key). 1 = serial replay.
   uint32_t recovery_threads = 1;
-  /// Group-commit window in microseconds: once the log flusher sees a
-  /// pending commit record it waits this long so concurrent committers
-  /// coalesce into one flush (one fsync with fsync_log). Amortizes
-  /// device-bound commit latency across sessions at the cost of up to this
-  /// much added latency per commit. 0 (default) flushes as soon as the
-  /// flusher wakes. Counters: log_group_commits (batches flushed),
-  /// log_group_size_sum (records across those batches).
-  uint32_t group_commit_us = 0;
 
   /// MV engines: see MVEngineOptions.
   bool honor_locks = true;
@@ -83,45 +61,10 @@ struct DatabaseOptions {
 
   /// 1V engine: lock-wait timeout (deadlock breaking).
   uint64_t lock_timeout_us = 2000;
-
-  /// Memory subsystem (src/mem/): recycle version slots through per-table
-  /// slab allocators and transaction objects through pools, integrated with
-  /// epoch reclamation. Default on; turn off to route every allocation
-  /// through the global heap (ASan-style debugging, leak triage). Sanitizer
-  /// builds (TSan/ASan) default off (common/port.h) -- recycling hides
-  /// object lifetimes from the tools; tests that target the slabs opt back
-  /// in.
-  bool use_slab_allocator = !kSanitizerBuild;
-
-  /// Observability (src/obs/, docs/OBSERVABILITY.md). On: commit-pipeline
-  /// phases, txn lifetime, read/scan, GC, checkpoint and recovery latencies
-  /// are recorded into striped histograms, exposed through MetricsText /
-  /// the kMetrics wire opcode. Off: every Record() is one relaxed load.
-  bool enable_latency_histograms = true;
-  /// Commits slower than this (microseconds) emit one rate-limited
-  /// structured stderr line with the per-phase breakdown; 0 disables.
-  uint64_t slow_txn_us = 0;
 };
 
-/// Opaque transaction handle; owned by the Database between Begin and
-/// Commit/Abort. Recycled through a pool (mem/object_pool.h) when the slab
-/// subsystem is on.
-struct Txn {
-  Txn(Transaction* mv_in, SVTransaction* sv_in, IsolationLevel isolation_in)
-      : mv(mv_in), sv(sv_in), isolation(isolation_in) {}
-
-  void Reset(Transaction* mv_in, SVTransaction* sv_in,
-             IsolationLevel isolation_in) {
-    mv = mv_in;
-    sv = sv_in;
-    isolation = isolation_in;
-  }
-
-  Transaction* mv = nullptr;
-  SVTransaction* sv = nullptr;
-  IsolationLevel isolation = IsolationLevel::kReadCommitted;
-};
-
+class MVEngine;
+class SVEngine;
 struct RecoveryReport;
 
 class Database {
@@ -314,26 +257,34 @@ class Database {
   /// contract (docs/API.md), and sorted output lets scrapers diff two
   /// snapshots line-by-line.
   std::vector<std::pair<std::string, uint64_t>> CounterSnapshot();
-  /// MV engines only (nullptr under 1V): direct access for tests/benches.
-  MVEngine* mv_engine() { return mv_.get(); }
-  SVEngine* sv_engine() { return sv_.get(); }
+  /// The engine behind this database (core/engine_core.h).
+  EngineCore& engine() { return *engine_; }
+  /// The engine as its concrete type, nullptr under the other schemes:
+  /// direct access for tests and benches.
+  MVEngine* mv_engine();
+  SVEngine* sv_engine();
 
  private:
-  /// Release a finished handle back to the pool.
-  void ReleaseTxn(Txn* txn) { txn_handle_pool_.Release(txn); }
-
   /// Gate for write operations: false once read-only (bumping the
   /// writes_refused counter), flipping the mode on first sight of a broken
   /// sink. `check_sink` false skips the sink probe (per-op fast path; the
   /// sink is probed at commit, where durability is actually promised).
   bool WriteAllowed(bool check_sink);
 
+  /// Run one read-side engine call, recording its latency into `hist`.
+  template <typename Op>
+  Status Timed(obs::Hist hist, Op&& op) {
+    obs::LatencyHistograms& h = hists();
+    const uint64_t t_start = h.enabled() ? obs::NowTicks() : 0;
+    Status s = op();
+    if (t_start != 0) h.RecordSince(hist, t_start);
+    return s;
+  }
+
   std::atomic<bool> read_only_{false};
 
   DatabaseOptions options_;
-  std::unique_ptr<MVEngine> mv_;
-  std::unique_ptr<SVEngine> sv_;
-  ObjectPool<Txn> txn_handle_pool_;
+  std::unique_ptr<EngineCore> engine_;
   Mutex checkpoint_mutex_;
 
   /// Procedure registry. Reads (Find/Call) take the lock shared and hold it

@@ -437,27 +437,6 @@ Status GatherSegmentRecords(Database& db, const RecoveryOptions& options,
   return Status::OK();
 }
 
-Status GatherSingleFileRecords(Database& db, const RecoveryOptions& options,
-                               std::vector<ParsedLogRecord>* records,
-                               RecoveryReport* report) {
-  if (MVSTORE_FAILPOINT("recovery.segment.scan")) return Status::Internal();
-  Status read_status;
-  std::vector<uint8_t> bytes = ReadLogFile(options.log_path, &read_status);
-  if (read_status.code() == Status::Code::kInternal) {
-    return read_status;  // short read, not a torn tail; NotFound is fine
-  }
-  size_t valid = 0;
-  if (!ParseAllRecords(bytes, records, &valid)) {
-    NoteTornTail(db, options.log_path, bytes.size() - valid, records->size(),
-                 report);
-    if (options.truncate_torn_tail) {
-      Status t = TruncateTornTail(options.log_path, valid);
-      if (!t.ok()) return t;
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Status ValidateSegmentCoverage(const std::string& log_path,
@@ -483,8 +462,7 @@ Status RecoverDatabase(Database& db, const RecoveryOptions& options,
     CheckpointInfo probe;
     Status ps = InspectCheckpoint(options.checkpoint_path, &probe);
     if (ps.ok()) {
-      if (options.log_segment_bytes > 0 && !options.log_path.empty() &&
-          probe.covered_seq > 0) {
+      if (!options.log_path.empty() && probe.covered_seq > 0) {
         Status cs =
             ValidateSegmentCoverage(options.log_path, probe.covered_seq);
         if (!cs.ok()) return cs;
@@ -506,10 +484,8 @@ Status RecoverDatabase(Database& db, const RecoveryOptions& options,
   // 2. Tail records.
   std::vector<ParsedLogRecord> records;
   if (!options.log_path.empty()) {
-    Status s = options.log_segment_bytes > 0
-                   ? GatherSegmentRecords(db, options, local.checkpoint_loaded,
-                                          covered_seq, &records, &local)
-                   : GatherSingleFileRecords(db, options, &records, &local);
+    Status s = GatherSegmentRecords(db, options, local.checkpoint_loaded,
+                                    covered_seq, &records, &local);
     if (!s.ok()) return s;
   }
   local.records_parsed = records.size();
@@ -521,7 +497,8 @@ Status RecoverDatabase(Database& db, const RecoveryOptions& options,
   ReplayOptions replay;
   replay.threads = options.threads;
   replay.skip_through_ts = skip_through_ts;
-  replay.tolerant = local.checkpoint_loaded && db.mv_engine() == nullptr;
+  replay.tolerant =
+      local.checkpoint_loaded && db.scheme() == Scheme::kSingleVersion;
   Status s = ReplayRecords(db, std::move(records), replay, &local);
   if (!s.ok()) return s;
 
@@ -530,20 +507,6 @@ Status RecoverDatabase(Database& db, const RecoveryOptions& options,
       std::max(local.max_timestamp, local.checkpoint_ts));
 
   if (report != nullptr) *report = local;
-  return Status::OK();
-}
-
-Status RecoverFromLogFile(Database& db, const std::string& path) {
-  LoggerPauseGuard pause(db.logger());
-  RecoveryOptions options;
-  options.log_path = path;
-  RecoveryReport local;
-  std::vector<ParsedLogRecord> records;
-  Status s = GatherSingleFileRecords(db, options, &records, &local);
-  if (!s.ok()) return s;
-  s = ReplayRecords(db, std::move(records), ReplayOptions{}, &local);
-  if (!s.ok()) return s;
-  db.AdvanceCommitTimestamp(local.max_timestamp);
   return Status::OK();
 }
 
@@ -567,7 +530,6 @@ std::unique_ptr<Database> Database::Open(
   if (!options.log_path.empty() || !options.checkpoint_path.empty()) {
     RecoveryOptions recovery;
     recovery.log_path = options.log_path;
-    recovery.log_segment_bytes = options.log_segment_bytes;
     recovery.checkpoint_path = options.checkpoint_path;
     recovery.threads = options.recovery_threads;
     Status s = RecoverDatabase(*db, recovery, report);

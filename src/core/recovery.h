@@ -7,10 +7,10 @@
 //
 //   1. loads the latest checkpoint, if any (core/checkpoint.h) — it covers
 //      every transaction with end timestamp <= its snapshot_ts;
-//   2. parses the log tail — all segments (log/log_segment.h) or the single
-//      log file — accepting a torn final batch: the valid prefix is kept,
-//      the torn bytes are truncated off the file (so a continued log stays
-//      parseable), counted, and reported;
+//   2. parses the log tail — every segment (log/log_segment.h) the
+//      checkpoint does not cover — accepting a torn final batch: the valid
+//      prefix is kept, the torn bytes are truncated off the last segment (so
+//      a continued log stays parseable), counted, and reported;
 //   3. replays records with end timestamp > snapshot_ts in end-timestamp
 //      order, optionally partitioned by primary key across worker threads
 //      (the paper's multiple-log-streams observation: per-key order is all
@@ -93,19 +93,11 @@ Status ReplayRecords(Database& db, std::vector<ParsedLogRecord> records,
 /// Back-compat convenience: strict, serial replay.
 Status ReplayRecords(Database& db, std::vector<ParsedLogRecord> records);
 
-/// Convenience for single-file logs: ReadLogFile + ParseAllRecords +
-/// strict serial ReplayRecords. A torn tail is tolerated: the valid prefix
-/// replays, the file is truncated to it, and the event is counted
-/// (Stat::kRecoveryTornTails) and logged to stderr.
-Status RecoverFromLogFile(Database& db, const std::string& path);
-
 /// Full recovery pass configuration (Database::Open wires this from
 /// DatabaseOptions).
 struct RecoveryOptions {
-  /// Log location: segment prefix when `log_segment_bytes` > 0, single file
-  /// otherwise (mirrors DatabaseOptions).
+  /// Segment prefix of the log (DatabaseOptions::log_path); empty = no log.
   std::string log_path;
-  uint64_t log_segment_bytes = 0;
   /// Optional checkpoint file; missing file = full-log replay.
   std::string checkpoint_path;
   uint32_t threads = 1;

@@ -56,6 +56,12 @@ std::vector<SegmentFile> ListSegments(const std::string& prefix) {
 SegmentedLogSink::SegmentedLogSink(std::string prefix, Options options,
                                    StatsCollector* stats)
     : prefix_(std::move(prefix)), options_(options), stats_(stats) {
+  // A zero target would rotate on every batch: refuse it as a broken sink
+  // instead of silently writing one segment file per group commit.
+  if (options_.segment_bytes == 0) {
+    Fail("open (segment_bytes must be > 0)");
+    return;
+  }
   MutexLock guard(mutex_);
   std::vector<logseg::SegmentFile> existing = logseg::ListSegments(prefix_);
   OpenSegmentLocked(existing.empty() ? 1 : existing.back().seq);
@@ -117,7 +123,8 @@ void SegmentedLogSink::Write(const uint8_t* data, size_t size) {
   }
   if (file_ == nullptr) return;
   if (MVSTORE_FAILPOINT("log.append.partial")) {
-    // Torn-write crash (see FileLogSink::Write): a prefix lands, then death.
+    // Torn-write crash: a prefix of the batch reaches the OS, then the
+    // process dies mid-write. Recovery must detect and truncate the tear.
     std::fwrite(data, 1, size / 2, file_);
     std::fflush(file_);
     std::_Exit(failpoint::kCrashExitCode);
@@ -134,8 +141,10 @@ void SegmentedLogSink::Write(const uint8_t* data, size_t size) {
 void SegmentedLogSink::Sync() {
   MutexLock guard(mutex_);
   if (file_ == nullptr) return;
-  // See FileLogSink::Sync: buffered-write and device-writeback failures
-  // both surface here.
+  // fwrite into stdio's buffer can succeed while the real write fails here
+  // (ENOSPC), and with use_fsync the page cache can accept what the device
+  // then rejects (EIO at writeback); both are dropped durability and must
+  // surface.
   bool synced =
       !MVSTORE_FAILPOINT("log.append.sync") && std::fflush(file_) == 0;
   if (synced && options_.use_fsync) synced = PortableFsync(file_);

@@ -58,7 +58,7 @@ class SegmentedLogSink : public LogSink {
   struct Options {
     /// Rotate once the current segment reaches this many bytes. A batch
     /// larger than the target gets a segment to itself (records are never
-    /// split). Must be > 0.
+    /// split). Must be > 0; 0 leaves the sink failed at construction.
     uint64_t segment_bytes = 64ull << 20;
     /// fsync every Sync() (see DatabaseOptions::fsync_log).
     bool use_fsync = false;

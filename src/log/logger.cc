@@ -1,7 +1,5 @@
 #include "log/logger.h"
 
-#include <cstdlib>
-
 #include "common/failpoint.h"
 
 #if defined(_WIN32)
@@ -19,56 +17,6 @@ bool PortableFsync(std::FILE* file) {
 #else
   return ::fsync(fileno(file)) == 0;
 #endif
-}
-
-FileLogSink::FileLogSink(const std::string& path, bool use_fsync,
-                         StatsCollector* stats)
-    : use_fsync_(use_fsync), stats_(stats) {
-  // Append, not truncate: an existing log on this path is prior committed
-  // history (recover-then-continue), not scratch space.
-  file_ = std::fopen(path.c_str(), "ab");
-  if (file_ == nullptr) {
-    failed_.store(true, std::memory_order_release);
-    std::fprintf(stderr, "mvstore: cannot open log file '%s' for append\n",
-                 path.c_str());
-    if (stats_ != nullptr) stats_->Add(Stat::kLogWriteErrors);
-  }
-}
-
-void FileLogSink::Write(const uint8_t* data, size_t size) {
-  if (file_ == nullptr) return;
-  if (MVSTORE_FAILPOINT("log.append.partial")) {
-    // Torn-write crash: a prefix of the batch reaches the OS, then the
-    // process dies mid-write. Recovery must detect and truncate the tear.
-    std::fwrite(data, 1, size / 2, file_);
-    std::fflush(file_);
-    std::_Exit(failpoint::kCrashExitCode);
-  }
-  if ((MVSTORE_FAILPOINT("log.append.write") ||
-       std::fwrite(data, 1, size, file_) != size) &&
-      !failed_.exchange(true, std::memory_order_acq_rel)) {
-    std::fprintf(stderr,
-                 "mvstore: log fwrite failed; further commit records will "
-                 "NOT be durable\n");
-    if (stats_ != nullptr) stats_->Add(Stat::kLogWriteErrors);
-  }
-}
-
-void FileLogSink::Sync() {
-  if (file_ == nullptr) return;
-  // fwrite into stdio's buffer can succeed while the real write fails here
-  // (ENOSPC), and with use_fsync the page cache can accept what the device
-  // then rejects (EIO at writeback); both are dropped durability and must
-  // surface.
-  bool synced =
-      !MVSTORE_FAILPOINT("log.append.sync") && std::fflush(file_) == 0;
-  if (synced && use_fsync_) synced = PortableFsync(file_);
-  if (!synced && !failed_.exchange(true, std::memory_order_acq_rel)) {
-    std::fprintf(stderr,
-                 "mvstore: log flush/fsync failed; further commit records "
-                 "will NOT be durable\n");
-    if (stats_ != nullptr) stats_->Add(Stat::kLogWriteErrors);
-  }
 }
 
 Logger::Logger(LogMode mode, LogSink* sink, uint32_t group_commit_us,

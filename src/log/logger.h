@@ -1,11 +1,11 @@
 // Group-commit redo logger (paper Sections 2.4, 5).
 //
 // Committing transactions serialize their write sets into a shared buffer;
-// a background flusher hands full batches to a sink (file or null), so many
-// commits share one I/O (group commit). The paper's experiments run
-// *asynchronous* logging -- transactions do not wait for the flush -- so the
-// engine defaults to kAsync; kSync waits for the flush LSN (durable commit)
-// and kDisabled removes logging entirely.
+// a background flusher hands full batches to a sink (segmented files or a
+// byte counter), so many commits share one I/O (group commit). The paper's
+// experiments run *asynchronous* logging -- transactions do not wait for the
+// flush -- so the engine defaults to kAsync; kSync waits for the flush LSN
+// (durable commit) and kDisabled removes logging entirely.
 #pragma once
 
 #include <atomic>
@@ -58,40 +58,6 @@ class NullLogSink : public LogSink {
 
  private:
   std::atomic<uint64_t> bytes_{0};
-};
-
-/// Appends to a single file. Opens in append mode, so reopening a database
-/// on an existing log path resumes after the existing records instead of
-/// destroying them (recover-then-continue). Callers that need the log
-/// truncated (a fresh benchmark run) must remove the file themselves.
-///
-/// DURABILITY CAVEAT: by default Sync() calls fflush only, which moves
-/// bytes into the OS page cache — the log survives a process crash but NOT
-/// an OS crash or power loss. Pass `use_fsync = true` (wired to
-/// DatabaseOptions::fsync_log) to fsync every flushed batch; group commit
-/// amortizes the fsync across the batch's transactions, but expect
-/// device-bound commit latency under LogMode::kSync.
-class FileLogSink : public LogSink {
- public:
-  explicit FileLogSink(const std::string& path, bool use_fsync = false,
-                       StatsCollector* stats = nullptr);
-  ~FileLogSink() override {
-    if (file_ != nullptr) std::fclose(file_);
-  }
-  bool ok() const { return file_ != nullptr; }
-  void Write(const uint8_t* data, size_t size) override;
-  /// Flush the batch to the OS; with use_fsync, force it to the device.
-  void Sync() override;
-  Status status() const override {
-    return failed_.load(std::memory_order_acquire) ? Status::Internal()
-                                                   : Status::OK();
-  }
-
- private:
-  std::FILE* file_ = nullptr;
-  const bool use_fsync_;
-  StatsCollector* const stats_;
-  std::atomic<bool> failed_{false};
 };
 
 /// Captures all bytes in memory; for tests that parse the log back.

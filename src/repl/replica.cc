@@ -348,7 +348,7 @@ struct Replica::Impl {
         }
         db().AdvanceCommitTimestamp(info.snapshot_ts);
         skip_floor = info.snapshot_ts;
-        tolerant = db().mv_engine() == nullptr;
+        tolerant = db().scheme() == Scheme::kSingleVersion;
         covered_seq_hint = info.covered_seq;
         self->replayed_ts_.store(info.snapshot_ts,
                                  std::memory_order_release);
@@ -536,8 +536,8 @@ std::unique_ptr<Replica> Replica::Open(ReplicaOptions options,
     if (status != nullptr) *status = s;
     return nullptr;
   };
-  if (options.db.log_path.empty() || options.db.log_segment_bytes == 0 ||
-      options.leader_port == 0 || !options.define_schema) {
+  if (options.db.log_path.empty() || options.leader_port == 0 ||
+      !options.define_schema) {
     return fail(Status::InvalidArgument());
   }
   std::unique_ptr<Replica> replica(new Replica(std::move(options)));
@@ -559,8 +559,8 @@ std::unique_ptr<Replica> Replica::Open(ReplicaOptions options,
   impl.have_state = report.checkpoint_loaded || report.records_replayed > 0 ||
                     cur.seq > 1 || cur.offset > logseg::kHeaderSize;
   impl.skip_floor = report.checkpoint_ts;
-  impl.tolerant =
-      report.checkpoint_loaded && replica->db_->mv_engine() == nullptr;
+  impl.tolerant = report.checkpoint_loaded &&
+                  replica->db_->scheme() == Scheme::kSingleVersion;
   replica->replayed_ts_.store(
       std::max(report.max_timestamp, report.checkpoint_ts),
       std::memory_order_release);

@@ -51,8 +51,8 @@
 namespace mvstore {
 
 struct ReplicaOptions {
-  /// Local mirror database. Must use a segmented log (log_path +
-  /// log_segment_bytes > 0); checkpoint_path is required to bootstrap from
+  /// Local mirror database. Must log to disk (log_path set);
+  /// checkpoint_path is required to bootstrap from
   /// a leader that has truncated its log. The scheme must match the
   /// leader's.
   DatabaseOptions db;

@@ -62,8 +62,8 @@ struct ShipperOptions {
 
 class ReplShipper {
  public:
-  /// `db` must log through a SegmentedLogSink (DatabaseOptions::log_path +
-  /// log_segment_bytes > 0); Start() returns InvalidArgument otherwise.
+  /// `db` must log to disk (DatabaseOptions::log_path set, so its sink is a
+  /// SegmentedLogSink); Start() returns InvalidArgument otherwise.
   ReplShipper(Database& db, ShipperOptions options = {});
   ~ReplShipper();  // Stop()s if still running
 

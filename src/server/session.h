@@ -25,7 +25,7 @@ namespace mvstore {
 
 class Database;
 class ServerCore;
-struct Txn;
+class Txn;
 
 class Session {
  public:

@@ -1,53 +1,15 @@
 #include "sv/sv_engine.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "log/log_record.h"
-#include "log/log_segment.h"
-#include "obs/slow_txn.h"
 
 namespace mvstore {
 
 SVEngine::SVEngine(SVEngineOptions options)
-    : options_(options),
-      hists_(options_.enable_latency_histograms),
-      slow_txn_ticks_(obs::SlowTxnThresholdTicks(options_.slow_txn_us)),
-      txn_pool_(options_.use_slab_allocator, &stats_) {
-  catalog_.ConfigureMemory(
-      Table::MemoryOptions{options_.use_slab_allocator, &stats_, &epoch_});
-  LogSink* sink = nullptr;
-  if (options_.log_mode != LogMode::kDisabled) {
-    if (options_.log_path.empty()) {
-      sink = new NullLogSink();
-    } else if (options_.log_segment_bytes > 0) {
-      sink = new SegmentedLogSink(
-          options_.log_path,
-          SegmentedLogSink::Options{options_.log_segment_bytes,
-                                    options_.fsync_log},
-          &stats_);
-    } else {
-      sink = new FileLogSink(options_.log_path, options_.fsync_log, &stats_);
-    }
-  }
-  logger_ = std::make_unique<Logger>(options_.log_mode, sink,
-                                     options_.group_commit_us, &stats_,
-                                     &hists_);
-}
-
-SVEngine::~SVEngine() {
-  epoch_.DrainAll();
-  for (uint32_t tid = 0; tid < catalog_.num_tables(); ++tid) {
-    Table& table = catalog_.table(tid);
-    if (table.num_indexes() == 0) continue;
-    std::vector<Version*> rows;
-    table.index(0).ScanAll([&](Version* v) {
-      rows.push_back(v);
-      return true;
-    });
-    for (Version* v : rows) table.FreeUnpublishedVersion(v);
-  }
-}
+    : EngineCore(Scheme::kSingleVersion, options),
+      options_(options),
+      txn_pool_(options_.use_slab_allocator, &stats_) {}
 
 TableId SVEngine::CreateTable(TableDef def) {
   TableId id = catalog_.CreateTable(std::move(def));
@@ -74,11 +36,7 @@ SVTransaction* SVEngine::Begin(IsolationLevel isolation, bool read_only) {
   }
   SVTransaction* txn = txn_pool_.Acquire(
       next_txn_id_.fetch_add(1, std::memory_order_relaxed), isolation);
-  // Sampled commit-pipeline tracing, same policy as the MV engine: the
-  // decision rides start_ticks; slow_txn_us forces every commit timed.
-  if (hists_.enabled() && (slow_txn_ticks_ != 0 || obs::SampleThisTxn())) {
-    txn->start_ticks = obs::NowTicks();
-  }
+  txn->start_ticks = SampleStartTicks();
   return txn;
 }
 
@@ -186,24 +144,10 @@ Status SVEngine::AcquireOrderedPoints(SVTransaction* txn, TableId table_id,
   return Status::OK();
 }
 
-Status SVEngine::Read(SVTransaction* txn, TableId table_id, IndexId index_id,
-                      uint64_t key, void* out) {
-  Table& table = catalog_.table(table_id);
-  bool found = false;
-  Status s = Scan(txn, table_id, index_id, key, nullptr,
-                  [&](const void* payload) {
-                    std::memcpy(out, payload, table.payload_size());
-                    found = true;
-                    return false;
-                  });
-  if (!s.ok()) return s;
-  return found ? Status::OK() : Status::NotFound();
-}
-
-Status SVEngine::Scan(SVTransaction* txn, TableId table_id, IndexId index_id,
-                      uint64_t key,
-                      const std::function<bool(const void*)>& residual,
-                      const std::function<bool(const void*)>& consumer) {
+Status SVEngine::Scan(Txn* handle, TableId table_id, IndexId index_id,
+                      uint64_t key, const Predicate& residual,
+                      const ScanConsumer& consumer) {
+  auto* txn = static_cast<SVTransaction*>(handle);
   Table& table = catalog_.table(table_id);
   if (table.ordered_index(index_id) != nullptr) {
     // Equality probe on the ordered access path: a degenerate range (the
@@ -241,10 +185,10 @@ Status SVEngine::Scan(SVTransaction* txn, TableId table_id, IndexId index_id,
   return Status::OK();
 }
 
-Status SVEngine::ScanRange(SVTransaction* txn, TableId table_id,
-                           IndexId index_id, uint64_t lo, uint64_t hi,
-                           const std::function<bool(const void*)>& residual,
-                           const std::function<bool(const void*)>& consumer) {
+Status SVEngine::ScanRange(Txn* handle, TableId table_id, IndexId index_id,
+                           uint64_t lo, uint64_t hi, const Predicate& residual,
+                           const ScanConsumer& consumer) {
+  auto* txn = static_cast<SVTransaction*>(handle);
   Table& table = catalog_.table(table_id);
   OrderedIndex* index = table.ordered_index(index_id);
   if (index == nullptr) return Status::InvalidArgument();
@@ -284,8 +228,9 @@ Status SVEngine::ScanRange(SVTransaction* txn, TableId table_id,
   return result;
 }
 
-Status SVEngine::ScanTable(SVTransaction* txn, TableId table_id,
-                           const std::function<bool(const void*)>& consumer) {
+Status SVEngine::ScanTable(Txn* handle, TableId table_id,
+                           const ScanConsumer& consumer) {
+  auto* txn = static_cast<SVTransaction*>(handle);
   Table& table = catalog_.table(table_id);
   SVLockTable& locks = *lock_tables_[lock_table_base_[table_id]];
   EpochGuard guard(epoch_);
@@ -308,8 +253,8 @@ Status SVEngine::ScanTable(SVTransaction* txn, TableId table_id,
   return result;
 }
 
-Status SVEngine::Insert(SVTransaction* txn, TableId table_id,
-                        const void* payload) {
+Status SVEngine::Insert(Txn* handle, TableId table_id, const void* payload) {
+  auto* txn = static_cast<SVTransaction*>(handle);
   Table& table = catalog_.table(table_id);
   HashIndex& primary = table.index(0);
   SVLockTable& primary_locks = *lock_tables_[lock_table_base_[table_id]];
@@ -348,8 +293,9 @@ Status SVEngine::Insert(SVTransaction* txn, TableId table_id,
   return Status::OK();
 }
 
-Status SVEngine::Update(SVTransaction* txn, TableId table_id, IndexId index_id,
-                        uint64_t key, const std::function<void(void*)>& mutator) {
+Status SVEngine::Update(Txn* handle, TableId table_id, IndexId index_id,
+                        uint64_t key, const Mutator& mutator) {
+  auto* txn = static_cast<SVTransaction*>(handle);
   Table& table = catalog_.table(table_id);
   SVLockTable& locks = *lock_tables_[lock_table_base_[table_id] + index_id];
 
@@ -392,8 +338,9 @@ Status SVEngine::Update(SVTransaction* txn, TableId table_id, IndexId index_id,
   return Status::OK();
 }
 
-Status SVEngine::Delete(SVTransaction* txn, TableId table_id, IndexId index_id,
+Status SVEngine::Delete(Txn* handle, TableId table_id, IndexId index_id,
                         uint64_t key) {
+  auto* txn = static_cast<SVTransaction*>(handle);
   Table& table = catalog_.table(table_id);
   SVLockTable& locks = *lock_tables_[lock_table_base_[table_id] + index_id];
 
@@ -442,8 +389,7 @@ void SVEngine::ReleaseAllLocks(SVTransaction* txn) {
 }
 
 void SVEngine::WriteLog(SVTransaction* txn) {
-  if (logger_->mode() == LogMode::kDisabled || txn->undo.empty()) return;
-  if (logger_->replay_paused()) return;  // recovery: record already on disk
+  if (!LogsCommits() || txn->undo.empty()) return;
   thread_local std::vector<uint8_t> buffer;
   buffer.clear();
   LogRecordBuilder builder(buffer);
@@ -469,19 +415,13 @@ void SVEngine::WriteLog(SVTransaction* txn) {
   logger_->Append(buffer);
 }
 
-Status SVEngine::Commit(SVTransaction* txn) {
+Status SVEngine::Commit(Txn* handle) {
+  auto* txn = static_cast<SVTransaction*>(handle);
   // Phase timing (docs/OBSERVABILITY.md): 1V has no validation phase, so
   // commit_total decomposes into log append + group wait + release.
-  const bool timed = slow_txn_ticks_ != 0 ||
-                     (txn->start_ticks != 0 && hists_.enabled());
-  const uint64_t t_enter = timed ? obs::NowTicks() : 0;
+  CommitTimer timer(*this, txn->start_ticks);
   WriteLog(txn);
-  const uint64_t group_wait_ticks =
-      (timed && !txn->undo.empty() &&
-       logger_->mode() != LogMode::kDisabled && !logger_->replay_paused())
-          ? Logger::LastGroupWaitTicks()
-          : 0;
-  const uint64_t t_logged = timed ? obs::NowTicks() : 0;
+  timer.MarkLogged(!txn->undo.empty() && LogsCommits());
   // Deleted rows become unreachable only now; concurrent scans of other keys
   // may still traverse them, so retire through the epoch manager.
   for (const auto& u : txn->undo) {
@@ -493,29 +433,8 @@ Status SVEngine::Commit(SVTransaction* txn) {
   stats_.Add(Stat::kTxnCommitted);
   const uint64_t writes = txn->undo.size();
   const TxnId txn_id = txn->id;
-  const uint64_t start_ticks = txn->start_ticks;
   txn_pool_.Release(txn);
-  if (timed) {
-    const uint64_t t_done = obs::NowTicks();
-    const uint64_t total = t_done - t_enter;
-    const uint64_t log_span = t_logged - t_enter;
-    hists_.Record(obs::Hist::kCommitTotal, total);
-    hists_.Record(obs::Hist::kCommitLogAppend,
-                  log_span - std::min(log_span, group_wait_ticks));
-    if (start_ticks != 0) {
-      hists_.Record(obs::Hist::kTxnLifetime, t_done - start_ticks);
-    }
-    if (slow_txn_ticks_ != 0 && total >= slow_txn_ticks_) {
-      obs::CommitTrace trace;
-      trace.scheme = "sv";
-      trace.txn_id = txn_id;
-      trace.total_ticks = total;
-      trace.log_append_ticks = log_span - std::min(log_span, group_wait_ticks);
-      trace.group_wait_ticks = group_wait_ticks;
-      trace.writes = writes;
-      obs::LogSlowTxn(trace, &stats_);
-    }
-  }
+  RecordCommit(timer, txn_id, writes);
   return Status::OK();
 }
 
@@ -545,8 +464,8 @@ Status SVEngine::DoAbort(SVTransaction* txn, AbortReason reason) {
   return Status::Aborted(reason);
 }
 
-void SVEngine::Abort(SVTransaction* txn) {
-  DoAbort(txn, AbortReason::kUserRequested);
+void SVEngine::Abort(Txn* txn) {
+  DoAbort(static_cast<SVTransaction*>(txn), AbortReason::kUserRequested);
 }
 
 }  // namespace mvstore

@@ -32,46 +32,24 @@
 #include <memory>
 #include <vector>
 
-#include "common/counters.h"
 #include "common/status.h"
 #include "common/types.h"
-#include "log/logger.h"
+#include "core/engine_core.h"
 #include "mem/object_pool.h"
-#include "obs/histogram.h"
-#include "storage/table.h"
 #include "sv/held_lock_set.h"
 #include "sv/lock_table.h"
-#include "util/epoch.h"
 
 namespace mvstore {
 
-struct SVEngineOptions {
+/// 1V-specific settings; the log, memory and observability settings come
+/// from EngineOptions.
+struct SVEngineOptions : EngineOptions {
   /// Lock-wait timeout; expiry aborts the waiter (probable deadlock).
   uint64_t lock_timeout_us = 2000;
-  LogMode log_mode = LogMode::kAsync;
-  std::string log_path;
-  /// fsync each flushed batch (see DatabaseOptions::fsync_log).
-  bool fsync_log = false;
-  /// > 0: rotating-segment log at this size; 0: one append-only file
-  /// (see MVEngineOptions::log_segment_bytes).
-  uint64_t log_segment_bytes = 0;
-  /// Group-commit window (see Logger); 0 = flush as soon as possible.
-  uint32_t group_commit_us = 0;
-  /// Recycle row slots through per-table slabs and transaction objects
-  /// through a pool (mem/); off = plain heap (debug fallback).
-  bool use_slab_allocator = true;
-
-  /// Record commit-pipeline phase latencies into obs/ histograms
-  /// (docs/OBSERVABILITY.md). Off = Record() is a single relaxed load.
-  bool enable_latency_histograms = true;
-
-  /// Commits slower than this emit one rate-limited slow-txn log line with
-  /// the per-phase breakdown (obs/slow_txn.h); 0 disables.
-  uint64_t slow_txn_us = 0;
 };
 
 /// Single-version transaction handle.
-class SVTransaction {
+class SVTransaction : public Txn {
  public:
   SVTransaction(TxnId id, IsolationLevel isolation)
       : id(id), isolation(isolation) {}
@@ -118,71 +96,61 @@ class SVTransaction {
   std::vector<UndoEntry> undo;
 };
 
-class SVEngine {
+class SVEngine final : public EngineCore {
  public:
   explicit SVEngine(SVEngineOptions options = {});
-  ~SVEngine();
 
-  SVEngine(const SVEngine&) = delete;
-  SVEngine& operator=(const SVEngine&) = delete;
-
-  TableId CreateTable(TableDef def);
-  Table& table(TableId id) { return catalog_.table(id); }
-  Catalog& catalog() { return catalog_; }
+  TableId CreateTable(TableDef def) override;
 
   SVTransaction* Begin(IsolationLevel isolation, bool read_only = false);
+  Txn* BeginTxn(IsolationLevel isolation, bool read_only) override {
+    return Begin(isolation, read_only);
+  }
 
-  Status Read(SVTransaction* txn, TableId table_id, IndexId index_id,
-              uint64_t key, void* out);
-  Status Scan(SVTransaction* txn, TableId table_id, IndexId index_id,
-              uint64_t key, const std::function<bool(const void*)>& residual,
-              const std::function<bool(const void*)>& consumer);
+  Status Scan(Txn* txn, TableId table_id, IndexId index_id, uint64_t key,
+              const Predicate& residual,
+              const ScanConsumer& consumer) override;
   /// Visit every row whose `index_id` key lies in [lo, hi], ascending.
   /// `index_id` must name an ordered index. Rows are read under their
   /// ordered-key hash locks (short under Read Committed, held to commit
   /// otherwise); serializable scans additionally register the range in the
   /// index's RangeLockManager, so conflicting inserts/deletes wait or time
   /// out (phantom protection by locking, the 1V way).
-  Status ScanRange(SVTransaction* txn, TableId table_id, IndexId index_id,
-                   uint64_t lo, uint64_t hi,
-                   const std::function<bool(const void*)>& residual,
-                   const std::function<bool(const void*)>& consumer);
+  Status ScanRange(Txn* txn, TableId table_id, IndexId index_id, uint64_t lo,
+                   uint64_t hi, const Predicate& residual,
+                   const ScanConsumer& consumer) override;
   /// Visit every row of the table. Each row is read under a briefly-held
   /// shared key lock (cursor stability), so payloads are never torn but the
   /// scan as a whole is not a consistent snapshot (single-version storage
   /// has no snapshots; see the MV engines for consistent reporting scans).
-  Status ScanTable(SVTransaction* txn, TableId table_id,
-                   const std::function<bool(const void*)>& consumer);
+  Status ScanTable(Txn* txn, TableId table_id,
+                   const ScanConsumer& consumer) override;
 
-  Status Insert(SVTransaction* txn, TableId table_id, const void* payload);
-  Status Update(SVTransaction* txn, TableId table_id, IndexId index_id,
-                uint64_t key, const std::function<void(void*)>& mutator);
-  Status Delete(SVTransaction* txn, TableId table_id, IndexId index_id,
-                uint64_t key);
+  Status Insert(Txn* txn, TableId table_id, const void* payload) override;
+  Status Update(Txn* txn, TableId table_id, IndexId index_id, uint64_t key,
+                const Mutator& mutator) override;
+  Status Delete(Txn* txn, TableId table_id, IndexId index_id,
+                uint64_t key) override;
 
-  Status Commit(SVTransaction* txn);
-  void Abort(SVTransaction* txn);
+  Status Commit(Txn* txn) override;
+  void Abort(Txn* txn) override;
+  bool HasWrites(const Txn* txn) const override {
+    return !static_cast<const SVTransaction*>(txn)->undo.empty();
+  }
 
   /// The lock guarding `key` in index `index_id` (introspection, tests).
   KeyLock* KeyLockFor(TableId table_id, IndexId index_id, uint64_t key) {
     return lock_tables_[lock_table_base_[table_id] + index_id]->LockFor(key);
   }
 
-  StatsCollector& stats() { return stats_; }
-  obs::LatencyHistograms& hists() { return hists_; }
-  EpochManager& epoch() { return epoch_; }
-  Logger& logger() { return *logger_; }
   const SVEngineOptions& options() const { return options_; }
 
-  /// Timestamp the next commit record will exceed (recovery/checkpoint
-  /// coordination): every transaction that already wrote its log record has
-  /// an end timestamp <= this value.
-  Timestamp commit_clock() const {
+  /// Every transaction that already wrote its log record has an end
+  /// timestamp <= this value.
+  Timestamp CommitClock() const override {
     return commit_clock_.load(std::memory_order_acquire);
   }
-  /// Raise the commit clock to at least `floor`; recovery calls this after
-  /// replay so post-recovery records sort after the replayed ones.
-  void AdvanceCommitClock(Timestamp floor) {
+  void AdvanceCommitClock(Timestamp floor) override {
     Timestamp cur = commit_clock_.load(std::memory_order_acquire);
     while (cur < floor && !commit_clock_.compare_exchange_weak(
                               cur, floor, std::memory_order_acq_rel)) {
@@ -227,22 +195,12 @@ class SVEngine {
   Status DoAbort(SVTransaction* txn, AbortReason reason);
 
   SVEngineOptions options_;
-  /// stats_ precedes catalog_ and txn_pool_: table slabs and the pool flush
-  /// local counters into it on destruction. hists_ keeps the same position
-  /// for the same reason (the logger records group waits until it dies).
-  StatsCollector stats_;
-  obs::LatencyHistograms hists_;
-  /// Precomputed SlowTxnThresholdTicks(options_.slow_txn_us); 0 = disabled.
-  uint64_t slow_txn_ticks_ = 0;
-  Catalog catalog_;
   ObjectPool<SVTransaction> txn_pool_;
   std::vector<std::unique_ptr<SVLockTable>> lock_tables_;  // [table][index]
   /// Parallel to lock_tables_: a RangeLockManager per ordered index
   /// (nullptr for hash slots).
   std::vector<std::unique_ptr<RangeLockManager>> range_locks_;
   std::vector<uint32_t> lock_table_base_;  // table id -> first lock table
-  EpochManager epoch_;
-  std::unique_ptr<Logger> logger_;
   std::atomic<TxnId> next_txn_id_{1};
   std::atomic<Timestamp> commit_clock_{0};
 };

@@ -105,7 +105,7 @@ struct BucketLockEntry {
   HashIndex::Bucket* bucket = nullptr;
 };
 
-class Transaction {
+class Transaction : public Txn {
  public:
   Transaction(TxnId id, IsolationLevel isolation, bool pessimistic,
               bool read_only)

@@ -66,33 +66,34 @@ Status InsertRow(Database& db, uint64_t key, uint64_t value) {
 
 class CrashRecoveryTest : public ::testing::TestWithParam<Scheme> {
  protected:
-  CrashRecoveryTest() {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf), "%s/crash_%d_%d",
-                  ::testing::TempDir().c_str(), static_cast<int>(GetParam()),
-                  ::getpid());
-    prefix_ = buf;
-    Cleanup();
+  // Everything a test writes (segments, checkpoints, copies) lives in one
+  // directory per scheme and process, emptied up front: segment sinks append
+  // to whatever segments already exist, so a rerun must start clean.
+  CrashRecoveryTest()
+      : dir_(::testing::TempDir() + "/crash_" +
+             std::to_string(static_cast<int>(GetParam())) + "_" +
+             std::to_string(::getpid())),
+        prefix_(dir_ + "/db") {
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
   }
-  ~CrashRecoveryTest() override { Cleanup(); }
+  ~CrashRecoveryTest() override { fs::remove_all(dir_); }
 
-  void Cleanup() {
-    std::remove((prefix_ + ".log").c_str());
-    std::remove((prefix_ + ".ckpt").c_str());
-    std::remove((prefix_ + ".ckpt.tmp").c_str());
-    for (const auto& seg : logseg::ListSegments(prefix_)) {
-      std::remove(seg.path.c_str());
-    }
-  }
-
-  /// Single-file log, synchronous commits (every committed transaction is
-  /// on disk before the next starts — the deterministic crash model).
-  DatabaseOptions FileOptions() {
+  /// Log at the default segment size, so every test run fits in one
+  /// segment; synchronous commits (every committed transaction is on disk
+  /// before the next starts — the deterministic crash model).
+  DatabaseOptions OneSegmentOptions() {
     DatabaseOptions opts;
     opts.scheme = GetParam();
     opts.log_mode = LogMode::kSync;
-    opts.log_path = prefix_ + ".log";
+    opts.log_path = prefix_;
     return opts;
+  }
+
+  /// The newest (append-receiving) segment of `prefix`.
+  static std::string LastSegment(const std::string& prefix) {
+    const auto segments = logseg::ListSegments(prefix);
+    return segments.empty() ? std::string() : segments.back().path;
   }
 
   /// Segmented log with tiny segments (forces rotation) + checkpoint path.
@@ -106,40 +107,55 @@ class CrashRecoveryTest : public ::testing::TestWithParam<Scheme> {
     return opts;
   }
 
-  std::string prefix_;
+  const std::string dir_;
+  const std::string prefix_;
 };
+
+/// Parse the records of one segment file (its bytes after the header).
+/// False on a torn tail, like ParseAllRecords.
+bool ParseSegment(const std::string& path,
+                  std::vector<ParsedLogRecord>* records) {
+  const std::vector<uint8_t> bytes = ReadLogFile(path);
+  if (bytes.size() < logseg::kHeaderSize) return bytes.empty();
+  return ParseAllRecords(bytes, records, nullptr, logseg::kHeaderSize);
+}
 
 // --- torn tail ---------------------------------------------------------------
 
 TEST_P(CrashRecoveryTest, TornTailRecoversCommittedPrefix) {
   constexpr uint64_t kTxns = 40;
   {
-    Database db(FileOptions());
+    Database db(OneSegmentOptions());
     DefineSchema(db);
     for (uint64_t k = 0; k < kTxns; ++k) {
       ASSERT_TRUE(InsertRow(db, k, k * 10).ok());
     }
   }
-  const std::string log = prefix_ + ".log";
+  const std::string log = LastSegment(prefix_);
+  ASSERT_FALSE(log.empty());
   const uint64_t full_size = static_cast<uint64_t>(fs::file_size(log));
-  ASSERT_GT(full_size, 0u);
+  ASSERT_GT(full_size, logseg::kHeaderSize);
 
-  // Crash images: cut the log at arbitrary offsets, including mid-record.
+  // Crash images: cut the last segment at arbitrary offsets, including
+  // mid-record and inside the segment header.
+  const std::string torn_prefix = prefix_ + "_torn";
+  const std::string torn = logseg::SegmentPath(torn_prefix, 1);
   for (uint64_t cut : {full_size - 1, full_size - 13, full_size / 2,
                        full_size / 3, uint64_t{7}}) {
-    const std::string torn = log + ".torn";
     fs::copy_file(log, torn, fs::copy_options::overwrite_existing);
     fs::resize_file(torn, cut);
     // A cut can land exactly on a record boundary, leaving a clean log.
     std::vector<ParsedLogRecord> probe;
-    const bool cut_mid_record = !ParseAllRecords(ReadLogFile(torn), &probe);
+    const bool cut_mid_record = !ParseSegment(torn, &probe);
 
     DatabaseOptions fresh;
     fresh.scheme = GetParam();
     fresh.log_mode = LogMode::kDisabled;
     Database db(fresh);
     DefineSchema(db);
-    ASSERT_TRUE(RecoverFromLogFile(db, torn).ok()) << "cut=" << cut;
+    RecoveryOptions recovery;
+    recovery.log_path = torn_prefix;
+    ASSERT_TRUE(RecoverDatabase(db, recovery).ok()) << "cut=" << cut;
 
     // Committed-prefix semantics: with kSync + a single-threaded writer the
     // log holds records in commit order, so the recovered keys must be
@@ -155,13 +171,12 @@ TEST_P(CrashRecoveryTest, TornTailRecoversCommittedPrefix) {
       ++expect;
     }
     EXPECT_LE(contents.size(), kTxns);
-    // The torn bytes were truncated off the file (continued logs must stay
-    // parseable), and the event was counted.
+    // The torn bytes were truncated off the segment (continued logs must
+    // stay parseable), and the event was counted.
     EXPECT_LE(fs::file_size(torn), cut) << "cut=" << cut;
     EXPECT_EQ(db.stats().Get(Stat::kRecoveryTornTails),
               cut_mid_record ? 1u : 0u)
         << "cut=" << cut;
-    std::remove(torn.c_str());
   }
 }
 
@@ -171,14 +186,14 @@ TEST_P(CrashRecoveryTest, ReopenPreservesExistingLog) {
   // Before the append-mode fix, the second construction opened the log with
   // "wb" and silently destroyed phase A.
   {
-    Database db(FileOptions());
+    Database db(OneSegmentOptions());
     DefineSchema(db);
     for (uint64_t k = 0; k < 10; ++k) ASSERT_TRUE(InsertRow(db, k, k).ok());
   }
   {
     Status status;
     RecoveryReport report;
-    auto db = Database::Open(FileOptions(), DefineSchema, &status, &report);
+    auto db = Database::Open(OneSegmentOptions(), DefineSchema, &status, &report);
     ASSERT_NE(db, nullptr) << status.ToString();
     EXPECT_EQ(report.records_replayed, 10u);
     EXPECT_EQ(DumpTable(*db).size(), 10u);
@@ -189,7 +204,7 @@ TEST_P(CrashRecoveryTest, ReopenPreservesExistingLog) {
   {
     Status status;
     RecoveryReport report;
-    auto db = Database::Open(FileOptions(), DefineSchema, &status, &report);
+    auto db = Database::Open(OneSegmentOptions(), DefineSchema, &status, &report);
     ASSERT_NE(db, nullptr) << status.ToString();
     EXPECT_EQ(report.records_replayed, 20u);
     auto contents = DumpTable(*db);
@@ -658,7 +673,7 @@ TEST_P(CrashRecoveryTest, CheckpointOnlyOpenLoadsWithoutLog) {
 TEST_P(CrashRecoveryTest, ParallelReplayMatchesSerial) {
   std::mt19937_64 rng(7);
   {
-    Database db(FileOptions());
+    Database db(OneSegmentOptions());
     DefineSchema(db);
     for (uint64_t k = 0; k < 200; ++k) {
       ASSERT_TRUE(InsertRow(db, k, k).ok());
@@ -688,7 +703,7 @@ TEST_P(CrashRecoveryTest, ParallelReplayMatchesSerial) {
     Database db(fresh);
     DefineSchema(db);
     RecoveryOptions options;
-    options.log_path = prefix_ + ".log";
+    options.log_path = prefix_;
     options.threads = threads;
     RecoveryReport report;
     EXPECT_TRUE(RecoverDatabase(db, options, &report).ok())
@@ -716,7 +731,7 @@ TEST_P(CrashRecoveryTest, InterleavedTimestampBlocksReplayDeterministically) {
   constexpr uint32_t kRounds = 40;  // committed transactions per thread
   constexpr uint64_t kShared = 8;
   {
-    DatabaseOptions opts = FileOptions();
+    DatabaseOptions opts = OneSegmentOptions();
     opts.ts_block_size = 4;  // small blocks: frequent carves, visible gaps
     Database db(opts);
     DefineSchema(db);
@@ -757,13 +772,14 @@ TEST_P(CrashRecoveryTest, InterleavedTimestampBlocksReplayDeterministically) {
     for (auto& t : writers) t.join();
   }
 
-  // Crash: tear the tail mid-record.
-  const std::string log = prefix_ + ".log";
+  // Crash: tear the last segment mid-record.
+  const std::string log = LastSegment(prefix_);
+  ASSERT_FALSE(log.empty());
   const uint64_t full_size = static_cast<uint64_t>(fs::file_size(log));
   fs::resize_file(log, full_size - 9);
 
   std::vector<ParsedLogRecord> records;
-  (void)ParseAllRecords(ReadLogFile(log), &records);  // false: torn tail
+  (void)ParseSegment(log, &records);  // false: torn tail
   ASSERT_GT(records.size(), kShared);
   if (GetParam() != Scheme::kSingleVersion) {
     // The phenomenon under test actually occurred: abandoned block
@@ -781,7 +797,7 @@ TEST_P(CrashRecoveryTest, InterleavedTimestampBlocksReplayDeterministically) {
     auto db = std::make_unique<Database>(fresh);
     DefineSchema(*db);
     RecoveryOptions options;
-    options.log_path = log;
+    options.log_path = prefix_;
     options.threads = threads;
     EXPECT_TRUE(RecoverDatabase(*db, options, report).ok())
         << "threads=" << threads;
@@ -800,14 +816,15 @@ TEST_P(CrashRecoveryTest, InterleavedTimestampBlocksReplayDeterministically) {
   // recovery depends on these records sorting after all existing ones.
   EXPECT_GE(serial_db->LastCommitTimestamp(), serial_report.max_timestamp);
   {
-    DatabaseOptions opts = FileOptions();
+    DatabaseOptions opts = OneSegmentOptions();
     opts.ts_block_size = 4;
     auto db = Database::Open(opts, DefineSchema);
     ASSERT_NE(db, nullptr);
     ASSERT_TRUE(InsertRow(*db, 999999, 1).ok());
   }
+  ASSERT_EQ(LastSegment(prefix_), log);  // the continued log extends it
   std::vector<ParsedLogRecord> continued;
-  ASSERT_TRUE(ParseAllRecords(ReadLogFile(log), &continued));
+  ASSERT_TRUE(ParseSegment(log, &continued));
   ASSERT_GT(continued.size(), records.size());
   for (size_t i = records.size(); i < continued.size(); ++i) {
     EXPECT_GT(continued[i].end_ts, serial_report.max_timestamp);
@@ -829,6 +846,22 @@ TEST_P(CrashRecoveryTest, BadLogPathSurfacesAtOpen) {
   auto db = Database::Open(opts, DefineSchema, &status);
   EXPECT_EQ(db, nullptr);
   EXPECT_FALSE(status.ok());
+}
+
+TEST_P(CrashRecoveryTest, ZeroSegmentSizeSurfacesAtOpen) {
+  // A zero rotation target would cut a new segment file per group commit;
+  // the sink refuses it the way it refuses an unopenable path.
+  DatabaseOptions opts = OneSegmentOptions();
+  opts.log_segment_bytes = 0;
+  {
+    Database db(opts);
+    EXPECT_FALSE(db.log_status().ok());
+  }
+  Status status;
+  auto db = Database::Open(opts, DefineSchema, &status);
+  EXPECT_EQ(db, nullptr);
+  EXPECT_FALSE(status.ok());
+  EXPECT_TRUE(logseg::ListSegments(prefix_).empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, CrashRecoveryTest,

@@ -52,6 +52,27 @@ TEST(DatabaseApiTest, EngineAccessorsMatchScheme) {
   EXPECT_EQ(mv.sv_engine(), nullptr);
 }
 
+/// The scheme, not Begin's `read_only` flag, decides MV/L versus MV/O: an
+/// MV/L database hands out pessimistic transactions and an MV/O one
+/// optimistic transactions, read-only or not.
+TEST(DatabaseApiTest, SchemePicksTransactionKind) {
+  for (Scheme scheme :
+       {Scheme::kMultiVersionLocking, Scheme::kMultiVersionOptimistic}) {
+    DatabaseOptions opts;
+    opts.scheme = scheme;
+    opts.log_mode = LogMode::kDisabled;
+    Database db(opts);
+    for (bool read_only : {false, true}) {
+      Txn* txn = db.Begin(IsolationLevel::kSerializable, read_only);
+      const auto* mv = static_cast<const Transaction*>(txn);
+      EXPECT_EQ(mv->pessimistic, scheme == Scheme::kMultiVersionLocking)
+          << SchemeName(scheme) << " read_only=" << read_only;
+      EXPECT_EQ(mv->read_only, read_only) << SchemeName(scheme);
+      db.Abort(txn);
+    }
+  }
+}
+
 TEST(DatabaseApiTest, RunTransactionCommits) {
   DatabaseOptions opts;
   opts.log_mode = LogMode::kDisabled;

@@ -4,16 +4,40 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <thread>
 
 #include "cc/mv_engine.h"
 #include "common/failpoint.h"
 #include "core/database.h"
+#include "core/recovery.h"
 #include "log/log_record.h"
+#include "log/log_segment.h"
 #include "log/logger.h"
 
 namespace mvstore {
 namespace {
+
+/// Log prefix inside a fresh, empty per-test directory: the segment sink
+/// appends to whatever segments already exist under a prefix, so a rerun
+/// must not find the previous run's files.
+std::string FreshLogPrefix(const std::string& test) {
+  const std::string dir = ::testing::TempDir() + "/mvstore_logger_" + test;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir + "/wal";
+}
+
+/// Every byte after the segment headers, across all segments in order.
+std::vector<uint8_t> SegmentPayload(const std::string& prefix) {
+  std::vector<uint8_t> out;
+  for (const logseg::SegmentFile& seg : logseg::ListSegments(prefix)) {
+    std::vector<uint8_t> bytes = ReadLogFile(seg.path);
+    if (bytes.size() <= logseg::kHeaderSize) continue;
+    out.insert(out.end(), bytes.begin() + logseg::kHeaderSize, bytes.end());
+  }
+  return out;
+}
 
 TEST(LogRecordTest, InsertRoundTrip) {
   std::vector<uint8_t> buf;
@@ -121,74 +145,64 @@ TEST(LoggerTest, SyncWaitsForFlush) {
 }
 
 /// DatabaseOptions::fsync_log: the fsync'd sink must behave identically at
-/// the API level (bytes land in the file); the durability difference is
+/// the API level (bytes land in the segment); the durability difference is
 /// only observable across an OS crash, which a unit test cannot stage.
 TEST(LoggerTest, FsyncModeWritesIdenticalBytes) {
-  const std::string path = ::testing::TempDir() + "/fsync_sink.log";
-  std::remove(path.c_str());  // the sink appends; a stale file would skew n
+  const std::string prefix = FreshLogPrefix("fsync");
   {
-    auto* sink = new FileLogSink(path, /*use_fsync=*/true);
-    ASSERT_TRUE(sink->ok());
+    auto* sink = new SegmentedLogSink(
+        prefix, SegmentedLogSink::Options{1 << 20, /*use_fsync=*/true});
+    ASSERT_TRUE(sink->status().ok());
     Logger logger(LogMode::kSync, sink);
     std::vector<uint8_t> rec{7, 7, 7, 7, 7};
     logger.Append(rec);  // returns only after an fsync'd flush
   }
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  uint8_t buffer[16] = {0};
-  size_t n = std::fread(buffer, 1, sizeof(buffer), f);
-  std::fclose(f);
-  std::remove(path.c_str());
-  ASSERT_EQ(n, 5u);
-  for (size_t i = 0; i < n; ++i) EXPECT_EQ(buffer[i], 7);
+  const std::vector<uint8_t> payload = SegmentPayload(prefix);
+  ASSERT_EQ(payload.size(), 5u);
+  for (uint8_t b : payload) EXPECT_EQ(b, 7);
 }
 
-/// The reopen bug this suite guards against: FileLogSink used to open with
-/// "wb", so reconstructing a database on an existing log path silently
-/// destroyed all prior committed records.
-TEST(LoggerTest, FileSinkAppendsAcrossReopen) {
-  const std::string path = ::testing::TempDir() + "/append_sink.log";
-  std::remove(path.c_str());
+/// The reopen bug this suite guards against: a sink that opened its file
+/// with "wb" made reconstructing a database on an existing log path
+/// silently destroy all prior committed records.
+TEST(LoggerTest, SegmentSinkAppendsAcrossReopen) {
+  const std::string prefix = FreshLogPrefix("reopen");
   for (int round = 0; round < 3; ++round) {
-    auto* sink = new FileLogSink(path);
-    ASSERT_TRUE(sink->ok());
+    auto* sink = new SegmentedLogSink(prefix, SegmentedLogSink::Options{});
+    ASSERT_TRUE(sink->status().ok());
     Logger logger(LogMode::kSync, sink);
     std::vector<uint8_t> rec{static_cast<uint8_t>(round), 1, 2};
     logger.Append(rec);
   }
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  uint8_t buffer[16] = {0};
-  size_t n = std::fread(buffer, 1, sizeof(buffer), f);
-  std::fclose(f);
-  std::remove(path.c_str());
-  ASSERT_EQ(n, 9u);  // three rounds of three bytes, none truncated away
+  EXPECT_EQ(logseg::ListSegments(prefix).size(), 1u);  // resumed, not rotated
+  const std::vector<uint8_t> payload = SegmentPayload(prefix);
+  ASSERT_EQ(payload.size(), 9u);  // three rounds of three bytes, none lost
   for (int round = 0; round < 3; ++round) {
-    EXPECT_EQ(buffer[round * 3], static_cast<uint8_t>(round));
+    EXPECT_EQ(payload[round * 3], static_cast<uint8_t>(round));
   }
 }
 
 TEST(LoggerTest, UnopenableSinkSurfacesStatus) {
-  FileLogSink sink("/nonexistent_dir_mvstore/x.log");
-  EXPECT_FALSE(sink.ok());
+  SegmentedLogSink sink("/nonexistent_dir_mvstore/x",
+                        SegmentedLogSink::Options{});
   EXPECT_FALSE(sink.status().ok());
 }
 
-#if defined(__linux__)
-/// /dev/full accepts buffered fwrite but fails the flush with ENOSPC; the
-/// sink must report broken durability rather than silently dropping bytes.
-TEST(LoggerTest, FullDeviceSurfacesStatus) {
-  auto* sink = new FileLogSink("/dev/full");
-  if (!sink->ok()) {  // environment without /dev/full semantics
-    delete sink;
-    GTEST_SKIP();
-  }
+/// A flush the device rejects (ENOSPC, EIO at writeback; injected at the
+/// sink's sync step) must report broken durability rather than silently
+/// dropping bytes.
+TEST(LoggerTest, FailedSyncSurfacesStatus) {
+  failpoint::DisarmAll();
+  const std::string prefix = FreshLogPrefix("failed_sync");
+  auto* sink = new SegmentedLogSink(prefix, SegmentedLogSink::Options{});
+  ASSERT_TRUE(sink->status().ok());
   Logger logger(LogMode::kSync, sink);
+  ASSERT_TRUE(failpoint::ArmSpec("log.append.sync=error"));
   std::vector<uint8_t> rec(128, 0x42);
   logger.Append(rec);  // flushed (and failed) before returning
+  failpoint::DisarmAll();
   EXPECT_FALSE(logger.sink_status().ok());
 }
-#endif
 
 /// PauseForReplay drops appended records (they are already in the log being
 /// replayed) and ResumeAfterReplay restores normal appends.
@@ -216,13 +230,13 @@ TEST(LoggerTest, DisabledDropsEverything) {
 /// batches than records under concurrency, with every record accounted
 /// for in the group-size counter.
 TEST(LoggerTest, GroupCommitCoalescesConcurrentAppenders) {
-  const std::string path = ::testing::TempDir() + "/group_commit.log";
-  std::remove(path.c_str());
+  const std::string prefix = FreshLogPrefix("group_commit");
   constexpr uint32_t kThreads = 4;
   constexpr uint32_t kRecords = 25;
   StatsCollector stats;
-  auto* sink = new FileLogSink(path, /*use_fsync=*/true, &stats);
-  ASSERT_TRUE(sink->ok());
+  auto* sink = new SegmentedLogSink(
+      prefix, SegmentedLogSink::Options{1 << 20, /*use_fsync=*/true}, &stats);
+  ASSERT_TRUE(sink->status().ok());
   {
     Logger logger(LogMode::kSync, sink, /*group_commit_us=*/1000, &stats);
     std::vector<std::thread> threads;
@@ -241,7 +255,6 @@ TEST(LoggerTest, GroupCommitCoalescesConcurrentAppenders) {
     EXPECT_LT(stats.Get(Stat::kLogGroupCommits), commits);
     EXPECT_EQ(stats.Get(Stat::kLogGroupSizeSum), commits);
   }
-  std::remove(path.c_str());
 }
 
 /// With the window at 0 the flusher behaves exactly as before (flush as
@@ -319,8 +332,7 @@ TEST(LoggerTest, EngineCommitsProduceRecords) {
 }
 
 /// ENOSPC in the middle of a group-commit window (injected at the sink's
-/// sync step via failpoint, replacing the /dev/full trick for the
-/// multi-committer case): every committer parked on the shared flush must
+/// sync step via failpoint): every committer parked on the shared flush must
 /// get the failure promptly — no hang on the flushed-LSN wait, and no
 /// spurious success ack for a commit whose bytes never became durable.
 TEST(LoggerTest, EnospcMidGroupCommitWindowFailsAllParkedCommitters) {
@@ -329,11 +341,9 @@ TEST(LoggerTest, EnospcMidGroupCommitWindowFailsAllParkedCommitters) {
     uint64_t value;
   };
   failpoint::DisarmAll();
-  const std::string path = ::testing::TempDir() + "/enospc_group.log";
-  std::remove(path.c_str());
   DatabaseOptions opts;
   opts.log_mode = LogMode::kSync;
-  opts.log_path = path;
+  opts.log_path = FreshLogPrefix("enospc_group");
   opts.fsync_log = true;
   opts.group_commit_us = 2000;  // wide window: committers park together
   Database db(opts);
@@ -380,7 +390,6 @@ TEST(LoggerTest, EnospcMidGroupCommitWindowFailsAllParkedCommitters) {
             20);  // parked committers were released promptly, not hung
   EXPECT_FALSE(db.log_status().ok());
   EXPECT_TRUE(db.read_only());
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -30,7 +30,10 @@ class OptimisticTest : public ::testing::Test {
   }
 
   Transaction* BeginOpt(IsolationLevel iso) {
-    return engine_->Begin(iso, /*pessimistic=*/false);
+    Transaction* txn = engine_->Begin(iso, /*pessimistic=*/false);
+    EXPECT_FALSE(txn->pessimistic);
+    EXPECT_FALSE(txn->read_only);
+    return txn;
   }
 
   void Put(uint64_t key, uint64_t value) {

@@ -33,7 +33,11 @@ class PessimisticTest : public ::testing::Test {
   }
 
   Transaction* BeginPess(IsolationLevel iso) {
-    return engine_->Begin(iso, /*pessimistic=*/true);
+    Transaction* txn = engine_->Begin(iso, /*pessimistic=*/true);
+    // `true` must bind to `pessimistic`, never to `read_only`.
+    EXPECT_TRUE(txn->pessimistic);
+    EXPECT_FALSE(txn->read_only);
+    return txn;
   }
 
   void Put(uint64_t key, uint64_t value) {

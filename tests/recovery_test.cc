@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
 
 #include "common/random.h"
 
@@ -28,11 +31,18 @@ TableId MakeTable(Database& db) {
 
 class RecoveryTest : public ::testing::TestWithParam<Scheme> {
  protected:
-  RecoveryTest() {
-    std::snprintf(path_, sizeof(path_), "/tmp/mvstore_recovery_%d_%d.log",
-                  static_cast<int>(GetParam()), ::getpid());
+  // A directory per scheme and process, emptied first: the segment sink
+  // appends to any segments already under the prefix, so a rerun must not
+  // find the previous run's log.
+  RecoveryTest()
+      : dir_(::testing::TempDir() + "/mvstore_recovery_" +
+             std::to_string(static_cast<int>(GetParam())) + "_" +
+             std::to_string(::getpid())),
+        path_(dir_ + "/wal") {
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
   }
-  ~RecoveryTest() override { std::remove(path_); }
+  ~RecoveryTest() override { std::filesystem::remove_all(dir_); }
 
   DatabaseOptions LoggedOptions() {
     DatabaseOptions opts;
@@ -42,7 +52,8 @@ class RecoveryTest : public ::testing::TestWithParam<Scheme> {
     return opts;
   }
 
-  char path_[128];
+  const std::string dir_;
+  const std::string path_;
 };
 
 TEST_P(RecoveryTest, RebuildsInsertsUpdatesDeletes) {
@@ -96,7 +107,9 @@ TEST_P(RecoveryTest, RebuildsInsertsUpdatesDeletes) {
   fresh.log_mode = LogMode::kDisabled;
   Database recovered(fresh);
   TableId table = MakeTable(recovered);
-  ASSERT_TRUE(RecoverFromLogFile(recovered, path_).ok());
+  RecoveryOptions recovery;
+  recovery.log_path = path_;
+  ASSERT_TRUE(RecoverDatabase(recovered, recovery).ok());
 
   for (const auto& [key, value] : expected) {
     Row row{};

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +30,16 @@ struct Row {
 };
 
 uint64_t RowKey(const void* p) { return static_cast<const Row*>(p)->key; }
+
+/// Log prefix inside a fresh, empty directory: the segment sink appends to
+/// whatever segments already exist under a prefix, so a rerun must not find
+/// the previous run's log.
+std::string FreshLogPrefix(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "/mvstore_" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir + "/wal";
+}
 
 TableId MakeRowTable(Database& db) {
   TableDef def;
@@ -448,8 +459,7 @@ TEST(ServerStatsTest, CounterSnapshotCoversEveryStat) {
 /// Acceptance: with fsync_log on, group commit performs measurably fewer
 /// fsyncs than committed transactions under concurrent sessions.
 TEST(ServerGroupCommitTest, FewerFsyncsThanCommits) {
-  const std::string path = ::testing::TempDir() + "/server_group_commit.log";
-  std::remove(path.c_str());
+  const std::string path = FreshLogPrefix("server_group_commit");
   constexpr uint32_t kThreads = 8;
   constexpr uint32_t kTxnsPerThread = 25;
   DatabaseOptions opts;
@@ -495,17 +505,14 @@ TEST(ServerGroupCommitTest, FewerFsyncsThanCommits) {
   EXPECT_GT(fsyncs, 0u);
   EXPECT_LT(fsyncs, commits);
   EXPECT_EQ(grouped, commits);
-  std::remove(path.c_str());
 }
 
 /// Acceptance: graceful shutdown drains in-flight sessions; nothing a
 /// client saw commit is lost, and a later reopen recovers all of it.
 TEST(ServerShutdownTest, DrainedCommitsSurviveReopen) {
   for (Scheme scheme : kAllSchemes) {
-    const std::string path = ::testing::TempDir() + "/server_drain_" +
-                             std::to_string(static_cast<int>(scheme)) +
-                             ".log";
-    std::remove(path.c_str());
+    const std::string path = FreshLogPrefix(
+        "server_drain_" + std::to_string(static_cast<int>(scheme)));
     constexpr uint64_t kRows = 50;
 
     auto define_schema = [](Database& d) { MakeRowTable(d); };
@@ -561,7 +568,6 @@ TEST(ServerShutdownTest, DrainedCommitsSurviveReopen) {
       EXPECT_EQ(row.value, k + 100);
     }
     reopened->Commit(txn);
-    std::remove(path.c_str());
   }
 }
 

@@ -20,13 +20,12 @@
 //
 // Replication (docs/REPLICATION.md; Linux only):
 //   --repl-port P   leader: host a log shipper on P so followers can
-//                   bootstrap + tail this database (requires --log with
-//                   --segment-bytes > 0).
+//                   bootstrap + tail this database (requires --log).
 //   --follow H:P    follower: mirror the leader's log from H:P and serve
 //                   read-only snapshot transactions at replayed_ts; writes
 //                   are refused kReadOnly until a client sends promote
-//                   (mvclient promote). Requires --log, --segment-bytes,
-//                   and --checkpoint; incompatible with --tatp loading
+//                   (mvclient promote). Requires --log and --checkpoint;
+//                   incompatible with --tatp loading
 //                   (the schema comes from the leader's define order).
 #include <atomic>
 #include <chrono>
@@ -86,7 +85,12 @@ int main(int argc, char** argv) {
   }
   db_opts.log_path = FlagStr(argc, argv, "--log", "");
   db_opts.fsync_log = FlagUint(argc, argv, "--fsync", 0) != 0;
-  db_opts.log_segment_bytes = FlagUint(argc, argv, "--segment-bytes", 0);
+  db_opts.log_segment_bytes =
+      FlagUint(argc, argv, "--segment-bytes", db_opts.log_segment_bytes);
+  if (db_opts.log_segment_bytes == 0) {
+    std::fprintf(stderr, "mvserver: --segment-bytes must be > 0\n");
+    return 1;
+  }
   db_opts.group_commit_us =
       static_cast<uint32_t>(FlagUint(argc, argv, "--group-commit-us", 0));
   db_opts.checkpoint_path = FlagStr(argc, argv, "--checkpoint", "");
@@ -104,10 +108,8 @@ int main(int argc, char** argv) {
                          "(a follower re-ships only after promote)\n");
     return 1;
   }
-  if ((follower || repl_port != 0) &&
-      (db_opts.log_path.empty() || db_opts.log_segment_bytes == 0)) {
-    std::fprintf(stderr, "mvserver: replication needs --log PATH and "
-                         "--segment-bytes N\n");
+  if ((follower || repl_port != 0) && db_opts.log_path.empty()) {
+    std::fprintf(stderr, "mvserver: replication needs --log PATH\n");
     return 1;
   }
   if (follower && db_opts.checkpoint_path.empty()) {
