@@ -2,10 +2,10 @@
 //   clang++ -Wthread-safety -Werror=thread-safety-analysis
 // (scripts/check_thread_safety.sh compiles it and asserts the failure).
 //
-// It reads the Logger's group-commit buffer and LSN bookkeeping without
-// mutex_. If this file ever compiles cleanly under the analysis, the
-// GUARDED_BY(mutex_) annotations on Logger's buffer/LSN fields have been
-// deleted or defeated.
+// It reads an append lane's record bytes and refs without the lane's
+// latch. If this file ever compiles cleanly under the analysis, the
+// GUARDED_BY(latch) annotations on Logger::Lane have been deleted or
+// defeated.
 //
 // Never add this file to the build; it exists only for -fsyntax-only.
 
@@ -16,10 +16,11 @@
 namespace mvstore {
 
 struct TsaNegativeProbe {
-  static uint64_t UnguardedLoggerRead(Logger& logger) {
-    // No MutexLock on logger.mutex_: both reads below must be rejected.
-    uint64_t n = logger.flushed_lsn_;
-    n += logger.buffer_.size();
+  static uint64_t UnguardedLaneRead(Logger& logger) {
+    // No SpinLatchGuard on lane.latch: both reads below must be rejected.
+    Logger::Lane& lane = logger.lanes_[0];
+    uint64_t n = lane.bytes.size();
+    n += lane.refs.size();
     return n;
   }
 };

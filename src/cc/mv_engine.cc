@@ -134,8 +134,12 @@ Status MVEngine::AcquireReadLock(Transaction* txn, Version* v, bool* locked) {
 
     if (!lockword::IsLockWord(end_word)) {
       if (lockword::TimestampOf(end_word) != kInfinity) {
-        // Not a latest version: no read lock required (Section 4.3.1).
-        return Status::OK();
+        // Only MV/L at Repeatable Read / Serializable locks, and its read
+        // time is the current clock, so a visible version with a finite End
+        // was superseded by a writer that drew its end timestamp after our
+        // read time. Reading it unlocked would let that writer commit under
+        // us (a non-repeatable read or write skew): refuse instead.
+        return Status::Aborted(AbortReason::kReadLockFailed);
       }
       uint64_t desired = lockword::MakeLockWord(1, lockword::kNoWriter);
       if (v->end.compare_exchange_weak(end_word, desired,
@@ -331,8 +335,8 @@ Status MVEngine::InstallWriteLock(Transaction* txn, Version* v) {
 /// Bucket-lock dependencies (Section 4.2.2)
 /// ---------------------------------------------------------------------------
 
-Status MVEngine::ImposePhantomDependency(Transaction* txn, Version* v) {
-  Timestamp read_time = ReadTime(txn);
+Status MVEngine::ImposePhantomDependency(Transaction* txn, Version* v,
+                                         Timestamp read_time) {
   while (true) {
     uint64_t begin_word = v->begin.load(std::memory_order_acquire);
     if (!beginword::IsTxnId(begin_word)) {
@@ -442,7 +446,7 @@ Version* MVEngine::FindVisible(Transaction* txn, Table& table, IndexId index_id,
     }
     if (!vis.visible) {
       if (serializable_pessimistic) {
-        Status s = ImposePhantomDependency(txn, v);
+        Status s = ImposePhantomDependency(txn, v, read_time);
         if (!s.ok()) {
           *status = s;
           return false;
@@ -501,7 +505,7 @@ Status MVEngine::Scan(Txn* handle, TableId table_id, IndexId index_id,
     }
     if (!vis.visible) {
       if (serializable && txn->pessimistic) {
-        Status s = ImposePhantomDependency(txn, v);
+        Status s = ImposePhantomDependency(txn, v, read_time);
         if (!s.ok()) {
           result = s;
           return false;

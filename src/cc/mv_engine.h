@@ -161,7 +161,11 @@ class MVEngine final : public EngineCore {
 
   /// Serializable MV/L scanner: impose a wait-for dependency on the active
   /// creator of an invisible version (potential phantom, Section 4.2.2).
-  Status ImposePhantomDependency(Transaction* txn, Version* v);
+  /// `read_time` is the caller's scan read time, not a fresh draw: a
+  /// version committed between the two would otherwise slip past both the
+  /// visibility check and this one.
+  Status ImposePhantomDependency(Transaction* txn, Version* v,
+                                 Timestamp read_time);
 
   /// Inserter side of bucket locks: wait-for dependencies on lock holders.
   Status TakeBucketLockDependencies(Transaction* txn, HashIndex::Bucket* bucket);

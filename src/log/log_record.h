@@ -104,6 +104,16 @@ class LogRecordBuilder {
   uint32_t op_count_ = 0;
 };
 
+/// The end timestamp a serialized record starts with; 0 for a buffer too
+/// short to hold one.
+inline Timestamp RecordEndTimestamp(const std::vector<uint8_t>& record) {
+  Timestamp end_ts = 0;
+  if (record.size() >= sizeof(end_ts)) {
+    std::memcpy(&end_ts, record.data(), sizeof(end_ts));
+  }
+  return end_ts;
+}
+
 /// Minimal reader for tests: parses one commit record starting at `pos`,
 /// returns false when the buffer is exhausted.
 struct ParsedLogOp {

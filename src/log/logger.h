@@ -1,13 +1,28 @@
 // Group-commit redo logger (paper Sections 2.4, 5).
 //
-// Committing transactions serialize their write sets into a shared buffer;
-// a background flusher hands full batches to a sink (segmented files or a
-// byte counter), so many commits share one I/O (group commit). The paper's
-// experiments run *asynchronous* logging -- transactions do not wait for the
-// flush -- so the engine defaults to kAsync; kSync waits for the flush LSN
-// (durable commit) and kDisabled removes logging entirely.
+// Committing transactions serialize their write sets into per-thread append
+// lanes (the per-worker log buffers of Silo, Tu et al., SOSP 2013): a thread
+// appends under its own lane's latch only, so commits share no log cache
+// line and no log mutex. A background flusher gathers every lane at one
+// instant and hands the batch to a sink (segmented files or a byte
+// counter), so many commits share one I/O (group commit).
+//
+// Byte order must respect commit dependencies, because update records are
+// diffs: if B read or overwrote A's writes, every log prefix holding B
+// must hold A. The flusher therefore latches all lanes before swapping any
+// of them out -- each append lands wholly before or wholly after a batch,
+// so A is never in a later batch than B -- and writes a batch in end
+// timestamp order, since a dependent commit always draws the larger end
+// timestamp (MV: its read time is at least the writer's end timestamp;
+// 1V: the commit clock is drawn under the write locks).
+//
+// The paper's experiments run *asynchronous* logging -- transactions do not
+// wait for the flush -- so the engine defaults to kAsync; kSync waits until
+// the flusher has written the record's lane past it (durable commit) and
+// kDisabled removes logging entirely.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <string>
@@ -16,6 +31,8 @@
 
 #include "common/counters.h"
 #include "common/mutex.h"
+#include "common/port.h"
+#include "common/spin_latch.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "log/log_record.h"
@@ -82,7 +99,7 @@ class MemoryLogSink : public LogSink {
 /// log shipper (src/repl/) uses to make "commit acknowledged" imply
 /// "follower has the bytes": a synchronous shipper blocks inside
 /// OnFlushedBatch until its followers acknowledge, and only then does the
-/// flusher advance flushed_lsn_ and wake committers.
+/// flusher advance the lanes' flushed counts and wake committers.
 class CommitObserver {
  public:
   virtual ~CommitObserver() = default;
@@ -92,6 +109,10 @@ class CommitObserver {
 
 class Logger {
  public:
+  /// Append lanes. A thread picks its lane at its first Append (a
+  /// process-wide thread counter mod kLanes); threads beyond kLanes share.
+  static constexpr size_t kLanes = 16;
+
   /// Logger takes ownership of `sink` (must be non-null unless kDisabled).
   ///
   /// `group_commit_us` > 0 opens a group-commit window: once the flusher
@@ -100,7 +121,7 @@ class Logger {
   /// Write+Sync (one fsync when the sink fsyncs). Each counted batch bumps
   /// log_group_commits by 1 and log_group_size_sum by the batch's record
   /// count, so mean group size = sum / commits. 0 keeps the pre-window
-  /// behavior: the flusher swaps the buffer as soon as it wakes.
+  /// behavior: the flusher gathers the lanes as soon as it wakes.
   Logger(LogMode mode, LogSink* sink, uint32_t group_commit_us = 0,
          StatsCollector* stats = nullptr,
          obs::LatencyHistograms* hists = nullptr);
@@ -109,12 +130,14 @@ class Logger {
   LogMode mode() const { return mode_; }
   uint32_t group_commit_us() const { return group_commit_us_; }
 
-  /// Append one serialized commit record. In kSync mode, blocks until the
+  /// Append one serialized commit record (log_record.h; its leading end
+  /// timestamp orders it within a batch). In kSync mode, blocks until the
   /// record's batch has been flushed to the sink.
   void Append(const std::vector<uint8_t>& record);
 
-  /// Flush everything buffered (checkpoint barrier, shutdown, tests).
-  /// Blocks on the flusher's progress via condition variable — no spinning.
+  /// Flush everything appended before the call (checkpoint barrier,
+  /// shutdown, tests). Blocks on the flusher's progress via condition
+  /// variable — no spinning.
   void FlushAll();
 
   /// Recovery replay re-executes committed transactions through the normal
@@ -144,9 +167,8 @@ class Logger {
     return sink_ != nullptr ? sink_->status() : Status::OK();
   }
 
-  uint64_t records_appended() const {
-    return records_.load(std::memory_order_relaxed);
-  }
+  /// Records appended so far, summed over the lanes.
+  uint64_t records_appended() const;
 
   /// Ticks the calling thread spent in its most recent kSync Append wait
   /// (0 for async/disabled appends). Feeds the slow-txn trace's group-wait
@@ -156,7 +178,44 @@ class Logger {
  private:
   friend struct TsaNegativeProbe;  // scripts/tsa_fixtures/ (compile-only)
 
+  /// Where one record sits in its lane, and the end timestamp that orders
+  /// it within a batch.
+  struct RecordRef {
+    Timestamp end_ts;
+    size_t offset;
+    size_t size;
+  };
+
+  /// One append lane, on its own cache lines. Owned by the Logger, not by
+  /// the thread, so a lane outlives the threads that filled it.
+  struct alignas(kCacheLineSize) Lane {
+    SpinLatch latch;
+    std::vector<uint8_t> bytes GUARDED_BY(latch);
+    std::vector<RecordRef> refs GUARDED_BY(latch);
+    /// Bytes and records ever appended. Stored only under `latch`; atomic
+    /// so FlushAll, the flusher's idle check and records_appended() read
+    /// them without it.
+    std::atomic<uint64_t> appended{0};
+    std::atomic<uint64_t> records{0};
+    /// Bytes the flusher has handed to the sink; kSync and FlushAll wait
+    /// on it under mutex_.
+    std::atomic<uint64_t> flushed{0};
+  };
+
+  /// A lane's contents as the flusher swapped them out.
+  struct Gathered {
+    std::vector<uint8_t> bytes;
+    std::vector<RecordRef> refs;
+    uint64_t appended = 0;  // the lane's appended count at the swap
+  };
+
   void FlusherLoop();
+  /// True while some lane holds bytes the flusher has not gathered.
+  bool HasPending() const;
+  /// One flusher pass: gather every lane, write the batch, publish the
+  /// lanes' flushed counts and wake kSync/FlushAll waiters.
+  void FlushPass();
+  void GatherLanes();
   void NotifyObserver(const uint8_t* data, size_t size);
 
   const LogMode mode_;
@@ -165,14 +224,25 @@ class Logger {
   obs::LatencyHistograms* const hists_;
   std::unique_ptr<LogSink> sink_;
 
+  std::array<Lane, kLanes> lanes_;
+
+  /// Flusher state: touched by the flusher thread, and by ~Logger once it
+  /// has been joined.
+  std::array<Gathered, kLanes> gathered_;
+  /// A record of a batch drawn from several lanes, pointing into gathered_.
+  struct Slice {
+    Timestamp end_ts;
+    const uint8_t* data;
+    size_t size;
+  };
+  std::vector<Slice> order_;     // end-timestamp order of such a batch
+  std::vector<uint8_t> merged_;  // its bytes in that order
+
+  /// Parks the flusher and kSync/FlushAll waiters; appenders never take it
+  /// except to wait for kSync.
   Mutex mutex_;
   CondVar flusher_cv_;
   CondVar commit_cv_;
-  std::vector<uint8_t> buffer_ GUARDED_BY(mutex_);
-  /// Records in buffer_ (group-size counter).
-  uint64_t buffer_records_ GUARDED_BY(mutex_) = 0;
-  uint64_t appended_lsn_ GUARDED_BY(mutex_) = 0;  // bytes appended
-  uint64_t flushed_lsn_ GUARDED_BY(mutex_) = 0;   // bytes flushed
 
   /// Replay pause (see PauseForReplay); written under mutex_. Atomic so the
   /// engines' WriteLog fast-path check needs no lock.
@@ -181,11 +251,10 @@ class Logger {
   /// Post-flush hook (see CommitObserver). Guarded by its own mutex, not
   /// mutex_: the flusher holds observer_mutex_ across the callback (which
   /// may block on follower acknowledgements) while committers keep
-  /// appending under mutex_ undisturbed.
+  /// appending undisturbed.
   Mutex observer_mutex_;
   CommitObserver* observer_ GUARDED_BY(observer_mutex_) = nullptr;
 
-  std::atomic<uint64_t> records_{0};
   std::atomic<bool> running_{false};
   /// True while the flusher is parked; appenders skip the wakeup otherwise.
   std::atomic<bool> flusher_idle_{false};

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <mutex>
 #include <thread>
 
 #include "cc/mv_engine.h"
@@ -289,6 +290,152 @@ TEST(LoggerTest, ConcurrentAppendersAllFlushed) {
   EXPECT_EQ(logger.records_appended(), 2000u);
 }
 
+/// One delete-op commit record carrying `end_ts`.
+std::vector<uint8_t> RecordAt(Timestamp end_ts, TxnId txn_id = 1) {
+  std::vector<uint8_t> rec;
+  LogRecordBuilder builder(rec);
+  builder.BeginRecord(end_ts, txn_id);
+  builder.AddDelete(0, end_ts);
+  builder.EndRecord();
+  return rec;
+}
+
+/// Every record in `bytes`, in log order; fails the test on a torn parse.
+std::vector<ParsedLogRecord> ParseAll(const std::vector<uint8_t>& bytes) {
+  std::vector<ParsedLogRecord> out;
+  size_t pos = 0;
+  ParsedLogRecord rec;
+  while (ParseLogRecord(bytes, pos, &rec)) out.push_back(rec);
+  EXPECT_EQ(pos, bytes.size());
+  return out;
+}
+
+/// Forwards to a sink the test keeps, so the bytes outlive the logger.
+class ForwardingSink : public LogSink {
+ public:
+  explicit ForwardingSink(MemoryLogSink& target) : target_(target) {}
+  void Write(const uint8_t* data, size_t size) override {
+    target_.Write(data, size);
+  }
+
+ private:
+  MemoryLogSink& target_;
+};
+
+/// Appends chained in real time (each one under a test mutex, with a
+/// strictly larger end timestamp than the last) stand for commits that
+/// depend on each other. Whatever lanes they land in, the log must hold
+/// them in end-timestamp order: recovery replays update diffs in log order.
+TEST(LoggerTest, ChainedAppendsStayInEndTimestampOrder) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 20000;
+  MemoryLogSink sink;
+  {
+    Logger logger(LogMode::kAsync, new ForwardingSink(sink),
+                  /*group_commit_us=*/20);
+    std::mutex chain;
+    Timestamp next_ts = 0;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        for (int i = 0; i < kPerThread; ++i) {
+          std::lock_guard<std::mutex> guard(chain);
+          logger.Append(RecordAt(++next_ts));
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+  }
+  const std::vector<ParsedLogRecord> records = ParseAll(sink.Contents());
+  ASSERT_EQ(records.size(), static_cast<size_t>(kThreads) * kPerThread);
+  size_t inversions = 0;
+  for (size_t i = 1; i < records.size(); ++i) {
+    if (records[i].end_ts < records[i - 1].end_ts) ++inversions;
+  }
+  EXPECT_EQ(inversions, 0u);
+}
+
+/// More appending threads than lanes: lanes are shared, and every byte
+/// and record is still accounted for exactly.
+TEST(LoggerTest, MoreThreadsThanLanesShareLanes) {
+  constexpr int kThreads = static_cast<int>(Logger::kLanes) * 2 + 3;
+  constexpr int kPerThread = 200;
+  auto* sink = new MemoryLogSink();  // owned by the logger
+  Logger logger(LogMode::kAsync, sink);
+  std::atomic<size_t> bytes{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        std::vector<uint8_t> rec =
+            RecordAt(static_cast<Timestamp>(t) * kPerThread + i + 1, t + 1);
+        bytes.fetch_add(rec.size());
+        logger.Append(rec);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  logger.FlushAll();
+  const std::vector<uint8_t> contents = sink->Contents();
+  EXPECT_EQ(contents.size(), bytes.load());
+  EXPECT_EQ(ParseAll(contents).size(),
+            static_cast<size_t>(kThreads) * kPerThread);
+  EXPECT_EQ(logger.records_appended(),
+            static_cast<uint64_t>(kThreads) * kPerThread);
+}
+
+/// kSync: when Append returns, the caller's record is in the sink.
+TEST(LoggerTest, SyncAppendersFindTheirRecordOnReturn) {
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 25;
+  auto* sink = new MemoryLogSink();  // owned by the logger
+  Logger logger(LogMode::kSync, sink);
+  std::atomic<int> missing{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        const Timestamp ts = static_cast<Timestamp>(t) * kPerThread + i + 1;
+        logger.Append(RecordAt(ts));
+        bool found = false;
+        for (const ParsedLogRecord& rec : ParseAll(sink->Contents())) {
+          found = found || rec.end_ts == ts;
+        }
+        if (!found) missing.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(missing.load(), 0);
+}
+
+/// Lanes belong to the logger, not to threads: records of threads that
+/// have exited still reach the sink when the logger shuts down.
+TEST(LoggerTest, DestructorFlushesLanesOfExitedThreads) {
+  constexpr int kThreads = 6;
+  constexpr int kPerThread = 50;
+  MemoryLogSink sink;
+  {
+    // A one-second window keeps the flusher from writing before shutdown.
+    Logger logger(LogMode::kAsync, new ForwardingSink(sink),
+                  /*group_commit_us=*/1000000);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int i = 0; i < kPerThread; ++i) {
+          logger.Append(
+              RecordAt(static_cast<Timestamp>(t) * kPerThread + i + 1));
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(logger.records_appended(),
+              static_cast<uint64_t>(kThreads) * kPerThread);
+  }
+  EXPECT_EQ(ParseAll(sink.Contents()).size(),
+            static_cast<size_t>(kThreads) * kPerThread);
+}
+
 /// End-to-end: committed MV transactions produce parseable commit records
 /// with their end timestamps; aborted transactions log nothing.
 TEST(LoggerTest, EngineCommitsProduceRecords) {
@@ -333,7 +480,7 @@ TEST(LoggerTest, EngineCommitsProduceRecords) {
 
 /// ENOSPC in the middle of a group-commit window (injected at the sink's
 /// sync step via failpoint): every committer parked on the shared flush must
-/// get the failure promptly — no hang on the flushed-LSN wait, and no
+/// get the failure promptly — no hang on the flushed-count wait, and no
 /// spurious success ack for a commit whose bytes never became durable.
 TEST(LoggerTest, EnospcMidGroupCommitWindowFailsAllParkedCommitters) {
   struct KvRow {

@@ -495,8 +495,11 @@ TEST_F(ReplProtocolTest, ReadRouterRoutesReadsToFollower) {
   Status st;
   auto replica = Replica::Open(FollowerOptions("router"), &st);
   ASSERT_NE(replica, nullptr) << st.ToString();
+  // replayed_ts can catch up before the attach is recorded; the follower
+  // serves reads only once ready(), so wait for both.
   ASSERT_TRUE(WaitFor([&] {
-    return replica->replayed_ts() >= db_->LastCommitTimestamp();
+    return replica->ready() &&
+           replica->replayed_ts() >= db_->LastCommitTimestamp();
   }));
 
   ServerCore leader_core(*db_);
