@@ -1,6 +1,8 @@
 #include "gc/garbage_collector.h"
 
+#include <algorithm>
 #include <chrono>
+#include <limits>
 
 namespace mvstore {
 
@@ -22,59 +24,70 @@ void GarbageCollector::Stop() {
 
 void GarbageCollector::Enqueue(Table* table, Version* version,
                                Timestamp retire_after) {
-  uint32_t shard =
-      enqueue_cursor_.fetch_add(1, std::memory_order_relaxed) % kShards;
-  {
-    SpinLatchGuard guard(shards_[shard].latch);
-    shards_[shard].queue.push_back(Item{table, version, retire_after});
-  }
-  pending_.fetch_add(1, std::memory_order_relaxed);
+  Shard& shard = MyShard();
+  SpinLatchGuard guard(shard.latch);
+  shard.queue.push_back(Item{table, version, retire_after});
+  // Writers hold the latch: plain load + store, no RMW.
+  shard.pending.store(shard.pending.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_relaxed);
 }
 
 void GarbageCollector::EnqueueImmediate(Table* table, Version* version) {
   Enqueue(table, version, 0);
 }
 
+uint64_t GarbageCollector::PendingCount() const {
+  uint64_t pending = 0;
+  for (const Shard& shard : shards_) {
+    pending += shard.pending.load(std::memory_order_relaxed);
+  }
+  return pending;
+}
+
 uint32_t GarbageCollector::Drain(Shard& shard, Timestamp watermark,
                                  uint32_t budget) {
-  drains_in_flight_.fetch_add(1, std::memory_order_acquire);
-  // Collect reclaimable items under the latch; unlink/retire outside it.
-  std::vector<Item> ready;
-  {
-    SpinLatchGuard guard(shard.latch);
-    uint32_t scanned = 0;
-    // Items are roughly timestamp-ordered (enqueued at commit time), so a
-    // front-drain finds ready items first; stop at the first blocked item
-    // to keep the pass O(budget).
-    while (!shard.queue.empty() && ready.size() < budget &&
-           scanned < budget * 4) {
-      const Item& item = shard.queue.front();
-      if (item.retire_after >= watermark) break;
-      ready.push_back(item);
-      shard.queue.pop_front();
-      ++scanned;
+  // Counted before the first pop: RunOnce takes this latch after us, so it
+  // sees the count and waits for our unlinks.
+  shard.drains_in_flight.fetch_add(1, std::memory_order_relaxed);
+  // Per-thread pop buffer: no heap allocation per drain. Nothing Drain calls
+  // re-enters the GC, so one buffer per thread suffices.
+  static thread_local std::array<Item, kDrainBatch> batch{};
+  uint32_t total = 0;
+  while (total < budget) {
+    const uint32_t want = std::min(budget - total, kDrainBatch);
+    uint32_t n = 0;
+    {
+      // Pop under the latch; unlink/retire outside it. Stop at the first
+      // blocked item: the shard is (mostly) retire_after-ordered.
+      SpinLatchGuard guard(shard.latch);
+      while (n < want && !shard.queue.empty() &&
+             shard.queue.front().retire_after < watermark) {
+        batch[n++] = shard.queue.front();
+        shard.queue.pop_front();
+      }
+      shard.pending.store(shard.pending.load(std::memory_order_relaxed) - n,
+                          std::memory_order_relaxed);
     }
+    for (uint32_t i = 0; i < n; ++i) {
+      batch[i].table->UnlinkFromAllIndexes(batch[i].version);
+      // The deleter routes the slot back to the owning table's slab (or the
+      // heap in fallback mode) once no lock-free scan can still reach it.
+      epoch_.Retire(batch[i].version, &Table::VersionDeleter, batch[i].table);
+    }
+    if (n > 0) stats_.Add(Stat::kVersionsCollected, n);
+    total += n;
+    if (n < want) break;
   }
-  for (const Item& item : ready) {
-    item.table->UnlinkFromAllIndexes(item.version);
-    // The deleter routes the slot back to the owning table's slab (or the
-    // heap in fallback mode) once no lock-free scan can still reach it.
-    epoch_.Retire(item.version, &Table::VersionDeleter, item.table);
-    stats_.Add(Stat::kVersionsCollected);
-  }
-  pending_.fetch_sub(ready.size(), std::memory_order_relaxed);
-  drains_in_flight_.fetch_sub(1, std::memory_order_release);
-  return static_cast<uint32_t>(ready.size());
+  shard.drains_in_flight.fetch_sub(1, std::memory_order_release);
+  return total;
 }
 
 uint32_t GarbageCollector::Cooperate(uint32_t budget) {
   if (budget == 0) return 0;
-  if (pending_.load(std::memory_order_relaxed) == 0) return 0;
+  Shard& shard = MyShard();
+  if (shard.pending.load(std::memory_order_relaxed) == 0) return 0;
   Timestamp now = now_fn_ != nullptr ? now_fn_(now_arg_) : kInfinity;
-  Timestamp watermark = CachedWatermark(now);
-  uint32_t shard =
-      drain_cursor_.fetch_add(1, std::memory_order_relaxed) % kShards;
-  return Drain(shards_[shard], watermark, budget);
+  return Drain(shard, CachedWatermark(now), budget);
 }
 
 uint64_t GarbageCollector::RunOnce() {
@@ -84,17 +97,15 @@ uint64_t GarbageCollector::RunOnce() {
   Timestamp now = now_fn_ != nullptr ? now_fn_(now_arg_) : kInfinity;
   Timestamp watermark = Watermark(now);
   uint64_t total = 0;
-  for (auto& shard : shards_) {
-    uint32_t n;
-    do {
-      n = Drain(shard, watermark, 256);
-      total += n;
-    } while (n > 0);
+  for (Shard& shard : shards_) {
+    total += Drain(shard, watermark, std::numeric_limits<uint32_t>::max());
   }
   // Our own drains are done; wait out any worker still between its
   // Cooperate pop and the unlink, so our return implies "unlinked".
-  while (drains_in_flight_.load(std::memory_order_acquire) != 0) {
-    std::this_thread::yield();
+  for (const Shard& shard : shards_) {
+    while (shard.drains_in_flight.load(std::memory_order_acquire) != 0) {
+      std::this_thread::yield();
+    }
   }
   if (t_start != 0) hists_->RecordSince(obs::Hist::kGcPass, t_start);
   return total;

@@ -13,8 +13,25 @@
 // "Collection is handled cooperatively by all threads": worker threads drain
 // a small budget at transaction boundaries; a background thread sweeps up
 // the rest.
+//
+// Thread-affine shards: the queue is split into kShards cacheline-aligned
+// shards, and a thread always enqueues into and cooperatively drains shard
+// ThreadOrdinal() % kShards (util/thread_ordinal.h), so a commit's GC work
+// stays on lines that thread owns. A thread draws its end timestamps in
+// increasing order, so its shard is ordered by retire_after and a drain pops
+// ready items off the front, stopping at the first blocked one. Each shard
+// carries its own `pending` count (written under the shard latch, summed by
+// PendingCount) and its own `drains_in_flight` count (drains between their
+// pop and the end of their unlinks, which RunOnce waits out); there is no
+// process-wide GC counter or cursor.
+//
+// Versions retired by a thread that has exited stay in its shard until
+// RunOnce drains them (the background sweeper every gc_interval_us, and
+// shutdown) or a later thread that maps to the same shard cooperates. With
+// the background thread off they therefore wait for an explicit RunOnce.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <deque>
 #include <thread>
@@ -28,11 +45,15 @@
 #include "storage/table.h"
 #include "txn/txn_table.h"
 #include "util/epoch.h"
+#include "util/thread_ordinal.h"
 
 namespace mvstore {
 
 class GarbageCollector {
  public:
+  /// Queue shards; a thread uses shard ThreadOrdinal() % kShards.
+  static constexpr uint32_t kShards = 16;
+
   GarbageCollector(TxnTable& txn_table, EpochManager& epoch,
                    StatsCollector& stats, uint32_t interval_us)
       : txn_table_(txn_table),
@@ -53,8 +74,8 @@ class GarbageCollector {
   /// unlink + epoch retirement.
   void EnqueueImmediate(Table* table, Version* version);
 
-  /// Worker-thread cooperation: reclaim up to `budget` ready versions.
-  /// Returns the number reclaimed.
+  /// Worker-thread cooperation: reclaim up to `budget` ready versions from
+  /// the calling thread's own shard. Returns the number reclaimed.
   uint32_t Cooperate(uint32_t budget);
 
   /// Reclaim everything currently ready. For the background thread, tests
@@ -65,10 +86,9 @@ class GarbageCollector {
   /// still-linked versions.
   uint64_t RunOnce();
 
-  /// Versions queued but not yet reclaimed (approximate).
-  uint64_t PendingCount() const {
-    return pending_.load(std::memory_order_relaxed);
-  }
+  /// Versions queued and not yet popped by a drain (exact once every
+  /// enqueuer and drainer is quiescent).
+  uint64_t PendingCount() const;
 
   /// Current GC watermark: versions that died before this timestamp are
   /// unreachable by every present and future reader.
@@ -99,13 +119,19 @@ class GarbageCollector {
     Timestamp retire_after;  // 0 = immediate
   };
 
-  static constexpr uint32_t kShards = 16;
+  /// Items a drain pops per latch hold, into a per-thread buffer.
+  static constexpr uint32_t kDrainBatch = 64;
 
   struct alignas(kCacheLineSize) Shard {
     SpinLatch latch;
     std::deque<Item> queue GUARDED_BY(latch);
+    /// queue.size(); stored under `latch`, read without it.
+    std::atomic<uint64_t> pending{0};
+    /// Drains of this shard between their pop and the end of their unlinks.
+    std::atomic<uint32_t> drains_in_flight{0};
   };
 
+  Shard& MyShard() { return shards_[ThreadOrdinal() % kShards]; }
   uint32_t Drain(Shard& shard, Timestamp watermark, uint32_t budget);
 
   TxnTable& txn_table_;
@@ -114,11 +140,7 @@ class GarbageCollector {
   const uint32_t interval_us_;
 
   Mutex run_once_mutex_;  // serializes full RunOnce passes
-  std::atomic<uint32_t> drains_in_flight_{0};
   std::array<Shard, kShards> shards_;
-  std::atomic<uint32_t> enqueue_cursor_{0};
-  std::atomic<uint32_t> drain_cursor_{0};
-  std::atomic<uint64_t> pending_{0};
 
   Timestamp (*now_fn_)(void*) = nullptr;
   void* now_arg_ = nullptr;

@@ -4,6 +4,7 @@
 #include <functional>
 
 #include "common/failpoint.h"
+#include "util/thread_ordinal.h"
 
 #if defined(_WIN32)
 #include <io.h>
@@ -59,14 +60,6 @@ void Logger::NotifyObserver(const uint8_t* data, size_t size) {
 namespace {
 /// Most recent kSync wait of this thread (see Logger::LastGroupWaitTicks).
 thread_local uint64_t tl_last_group_wait_ticks = 0;
-
-/// The calling thread's lane, fixed at its first call.
-size_t ThreadLane() {
-  static std::atomic<size_t> next_thread{0};
-  thread_local const size_t lane =
-      next_thread.fetch_add(1, std::memory_order_relaxed) % Logger::kLanes;
-  return lane;
-}
 }  // namespace
 
 uint64_t Logger::LastGroupWaitTicks() { return tl_last_group_wait_ticks; }
@@ -85,7 +78,7 @@ void Logger::Append(const std::vector<uint8_t>& record) {
   if (replay_paused_.load(std::memory_order_acquire)) {
     return;  // replaying: the record is already on disk
   }
-  Lane& lane = lanes_[ThreadLane()];
+  Lane& lane = lanes_[ThreadOrdinal() % kLanes];
   uint64_t my_end;
   {
     SpinLatchGuard guard(lane.latch);

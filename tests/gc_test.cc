@@ -3,6 +3,12 @@
 // cooperative draining (paper Section 2.3).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <thread>
+#include <vector>
+
 #include "cc/mv_engine.h"
 
 namespace mvstore {
@@ -16,12 +22,15 @@ uint64_t RowKey(const void* p) { return static_cast<const Row*>(p)->key; }
 
 class GcTest : public ::testing::Test {
  protected:
-  GcTest() {
+  GcTest() { MakeEngine(/*cooperative_gc_budget=*/0); }
+
+  /// Budget 0 disables inline draining too.
+  void MakeEngine(uint32_t cooperative_gc_budget) {
     MVEngineOptions opts;
     opts.log_mode = LogMode::kDisabled;
     opts.gc_interval_us = 0;  // manual control: no background thread
     opts.deadlock_interval_us = 0;
-    opts.cooperative_gc_budget = 0;  // disable inline draining too
+    opts.cooperative_gc_budget = cooperative_gc_budget;
     engine_ = std::make_unique<MVEngine>(opts);
     TableDef def;
     def.name = "rows";
@@ -52,6 +61,28 @@ class GcTest : public ::testing::Test {
       return true;
     });
     return n;
+  }
+
+  /// `threads` threads each commit `updates` updates to their own row and
+  /// exit; RunOnce must then reclaim every version they superseded.
+  void UpdateOwnRowsOnThreadsThenRunOnce(uint32_t threads, uint64_t updates) {
+    for (uint64_t k = 0; k < threads; ++k) Put(k, 0);
+    RunThreads(threads, [&](uint32_t k) {
+      for (uint64_t i = 1; i <= updates; ++i) UpdateRow(k, i);
+    });
+    EXPECT_EQ(engine_->gc().PendingCount(), threads * updates);
+
+    engine_->gc().RunOnce();
+    for (uint64_t k = 0; k < threads; ++k) EXPECT_EQ(ChainLength(k), 1u);
+    EXPECT_EQ(engine_->gc().PendingCount(), 0u);
+  }
+
+  /// Runs `body(i)` on `n` threads at once and joins them.
+  template <typename Body>
+  static void RunThreads(uint32_t n, Body body) {
+    std::vector<std::thread> threads;
+    for (uint32_t i = 0; i < n; ++i) threads.emplace_back(body, i);
+    for (auto& t : threads) t.join();
   }
 
   std::unique_ptr<MVEngine> engine_;
@@ -155,6 +186,86 @@ TEST_F(GcTest, HeavyChurnEventuallyBounded) {
   }
   EXPECT_EQ(ChainLength(1), 1u);
   EXPECT_EQ(engine_->gc().PendingCount(), 0u);
+}
+
+// Versions retired by threads that have since exited stay in those threads'
+// shards; with no background thread, RunOnce is what reclaims them.
+TEST_F(GcTest, RunOnceDrainsShardsOfExitedThreads) {
+  UpdateOwnRowsOnThreadsThenRunOnce(4, 64);
+}
+
+// Threads beyond kShards share shards; the per-shard counts stay exact.
+TEST_F(GcTest, MoreThreadsThanShardsShareShards) {
+  UpdateOwnRowsOnThreadsThenRunOnce(GarbageCollector::kShards + 4, 32);
+}
+
+// With the background thread off, each committing thread drains its own
+// backlog, so the total backlog stays small instead of growing with the run.
+// A version waits for the cached watermark (refreshed every ~200us), so each
+// thread paces its commits to >= 10us: a refresh window then holds <= ~20 of
+// its commits, and its own backlog stays under that plus one budget. The
+// median sample is checked, not the peak: a thread descheduled inside a
+// transaction pins the watermark, so isolated samples can spike.
+TEST_F(GcTest, EachThreadDrainsItsOwnBacklog) {
+  MakeEngine(/*cooperative_gc_budget=*/16);
+  constexpr uint32_t kThreads = 4;
+  constexpr uint64_t kTxns = 20000;
+  constexpr auto kPace = std::chrono::microseconds(10);
+  for (uint64_t k = 0; k < kThreads; ++k) Put(k, 0);
+  std::vector<std::vector<uint64_t>> samples(kThreads);
+  RunThreads(kThreads, [&](uint32_t k) {
+    samples[k].reserve(kTxns);
+    for (uint64_t i = 1; i <= kTxns; ++i) {
+      const auto start = std::chrono::steady_clock::now();
+      UpdateRow(k, i);
+      samples[k].push_back(engine_->gc().PendingCount());
+      while (std::chrono::steady_clock::now() - start < kPace) {
+      }
+    }
+  });
+  std::vector<uint64_t> all;
+  for (const auto& s : samples) all.insert(all.end(), s.begin(), s.end());
+  std::nth_element(all.begin(), all.begin() + all.size() / 2, all.end());
+  EXPECT_LT(all[all.size() / 2], kThreads * 64u);
+}
+
+// RunOnce's contract under concurrent Cooperate: when it returns, every
+// version any drain had popped is unlinked, so each chain is back to one.
+// Each round, the workers wait out the cached-watermark refresh (~200us) and
+// then pop their whole shard in one batch while RunOnce runs; a RunOnce that
+// did not wait for in-flight drains would find the shards empty and return
+// while a worker is still unlinking.
+TEST_F(GcTest, RunOnceWaitsForConcurrentCooperate) {
+  constexpr uint32_t kThreads = 4;
+  constexpr int kRounds = 50;
+  constexpr uint64_t kUpdates = 64;
+  for (uint64_t k = 0; k < kThreads; ++k) Put(k, 0);
+  std::atomic<int> round{0};
+  std::atomic<uint32_t> updated{0};
+  std::vector<std::thread> threads;
+  for (uint64_t k = 0; k < kThreads; ++k) {
+    threads.emplace_back([&, k] {
+      for (int r = 0; r < kRounds; ++r) {
+        while (round.load() != r) std::this_thread::yield();
+        for (uint64_t i = 1; i <= kUpdates; ++i) UpdateRow(k, i);
+        updated.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::microseconds(300));
+        while (round.load() == r) engine_->gc().Cooperate(kUpdates);
+      }
+    });
+  }
+  for (int r = 0; r < kRounds; ++r) {
+    while (updated.load() != kThreads * (r + 1)) std::this_thread::yield();
+    // Sweep RunOnce's start across the workers' first pops.
+    std::this_thread::sleep_for(std::chrono::microseconds(250 + 25 * (r % 5)));
+    engine_->gc().RunOnce();
+    for (uint64_t k = 0; k < kThreads; ++k) {
+      EXPECT_EQ(ChainLength(k), 1u) << "round " << r << " row " << k;
+    }
+    EXPECT_EQ(engine_->gc().PendingCount(), 0u);
+    round.store(r + 1);
+  }
+  for (auto& t : threads) t.join();
 }
 
 }  // namespace
