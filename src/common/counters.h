@@ -67,6 +67,7 @@ enum class Stat : uint32_t {
   kWritesRefusedReadOnly,
   kSlowTxnLogged,
   kSlowTxnSuppressed,
+  kReads,
   kNumStats,
 };
 
@@ -86,7 +87,7 @@ inline const char* StatName(Stat stat) {
       "recovery_torn_bytes_dropped", "recovery_records_replayed",
       "recovery_records_skipped", "recovery_idempotent_applies",
       "read_only_transitions", "writes_refused_read_only",
-      "slow_txn_logged",    "slow_txn_suppressed",
+      "slow_txn_logged",    "slow_txn_suppressed", "reads",
   };
   return kNames[static_cast<uint32_t>(stat)];
 }

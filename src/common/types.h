@@ -66,6 +66,13 @@ inline const char* SchemeName(Scheme scheme) {
 /// from any operation means the engine already rolled the transaction back
 /// and the handle is dead.
 class Txn {
+ public:
+  /// obs::NowTicks() at Begin when Begin sampled this transaction
+  /// (EngineCore::SampleStartTicks), else 0. Owning thread only. A sampled
+  /// transaction times its reads, scans, commit phases and lifetime; an
+  /// unsampled one reads no clock.
+  uint64_t start_ticks = 0;
+
  protected:
   Txn() = default;
   ~Txn() = default;

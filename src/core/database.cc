@@ -133,7 +133,8 @@ void Database::Abort(Txn* txn) { engine_->Abort(txn); }
 
 Status Database::Read(Txn* txn, TableId table_id, IndexId index_id,
                       uint64_t key, void* out) {
-  return Timed(obs::Hist::kReadLatency, [&] {
+  stats().Add(Stat::kReads);
+  return Timed(txn, obs::Hist::kReadLatency, [&] {
     return engine_->Read(txn, table_id, index_id, key, out);
   });
 }
@@ -142,7 +143,7 @@ Status Database::Scan(Txn* txn, TableId table_id, IndexId index_id,
                       uint64_t key,
                       const std::function<bool(const void*)>& residual,
                       const std::function<bool(const void*)>& consumer) {
-  return Timed(obs::Hist::kScanLatency, [&] {
+  return Timed(txn, obs::Hist::kScanLatency, [&] {
     return engine_->Scan(txn, table_id, index_id, key, residual, consumer);
   });
 }
@@ -151,7 +152,7 @@ Status Database::ScanRange(Txn* txn, TableId table_id, IndexId index_id,
                            uint64_t lo, uint64_t hi,
                            const std::function<bool(const void*)>& residual,
                            const std::function<bool(const void*)>& consumer) {
-  return Timed(obs::Hist::kScanLatency, [&] {
+  return Timed(txn, obs::Hist::kScanLatency, [&] {
     return engine_->ScanRange(txn, table_id, index_id, lo, hi, residual,
                               consumer);
   });
@@ -159,7 +160,7 @@ Status Database::ScanRange(Txn* txn, TableId table_id, IndexId index_id,
 
 Status Database::ScanTable(Txn* txn, TableId table_id,
                            const std::function<bool(const void*)>& consumer) {
-  return Timed(obs::Hist::kScanLatency,
+  return Timed(txn, obs::Hist::kScanLatency,
                [&] { return engine_->ScanTable(txn, table_id, consumer); });
 }
 

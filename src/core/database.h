@@ -271,13 +271,15 @@ class Database {
   /// sink is probed at commit, where durability is actually promised).
   bool WriteAllowed(bool check_sink);
 
-  /// Run one read-side engine call, recording its latency into `hist`.
+  /// Run one read-side engine call of `txn`, recording its latency into
+  /// `hist` when Begin sampled the transaction (start_ticks != 0) -- the
+  /// same decision that times its commit. An unsampled call reads no clock.
+  /// start_ticks is loaded before the call: an aborting op kills the handle.
   template <typename Op>
-  Status Timed(obs::Hist hist, Op&& op) {
-    obs::LatencyHistograms& h = hists();
-    const uint64_t t_start = h.enabled() ? obs::NowTicks() : 0;
+  Status Timed(const Txn* txn, obs::Hist hist, Op&& op) {
+    const uint64_t t_start = txn->start_ticks != 0 ? obs::NowTicks() : 0;
     Status s = op();
-    if (t_start != 0) h.RecordSince(hist, t_start);
+    if (t_start != 0) hists().RecordSince(hist, t_start);
     return s;
   }
 

@@ -54,16 +54,21 @@ EngineCore::~EngineCore() {
 
 Status EngineCore::Read(Txn* txn, TableId table_id, IndexId index_id,
                         uint64_t key, void* out) {
-  const uint32_t payload_size = catalog_.table(table_id).payload_size();
-  bool found = false;
+  // The consumer captures one pointer so its closure fits std::function's
+  // 16-byte inline buffer; a larger one costs a malloc/free per point read.
+  struct Copy {
+    void* out;
+    uint32_t payload_size;
+    bool found;
+  } copy{out, catalog_.table(table_id).payload_size(), false};
   Status s = Scan(txn, table_id, index_id, key, nullptr,
-                  [&](const void* payload) {
-                    std::memcpy(out, payload, payload_size);
-                    found = true;
+                  [&copy](const void* payload) {
+                    std::memcpy(copy.out, payload, copy.payload_size);
+                    copy.found = true;
                     return false;
                   });
   if (!s.ok()) return s;
-  return found ? Status::OK() : Status::NotFound();
+  return copy.found ? Status::OK() : Status::NotFound();
 }
 
 void EngineCore::RecordCommit(const CommitTimer& timer, TxnId txn_id,

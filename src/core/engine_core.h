@@ -162,8 +162,9 @@ class EngineCore {
   EngineCore(Scheme scheme, const EngineOptions& options);
 
   /// Begin-time sampling decision (obs::SampleThisTxn): the tick count to
-  /// store in the new transaction's start_ticks, or 0 when its commit goes
-  /// untraced. slow_txn_us forces every transaction traced.
+  /// store in the new transaction's start_ticks, or 0 when it goes
+  /// untraced (its reads and scans in Database::Timed, and its commit).
+  /// slow_txn_us forces every transaction traced.
   uint64_t SampleStartTicks() {
     return hists_.enabled() && (slow_txn_ticks_ != 0 || obs::SampleThisTxn())
                ? obs::NowTicks()

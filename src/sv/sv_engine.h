@@ -68,9 +68,6 @@ class SVTransaction : public Txn {
 
   TxnId id = 0;
   IsolationLevel isolation = IsolationLevel::kReadCommitted;
-  /// obs::NowTicks() at Begin (owning thread only; feeds the txn_lifetime
-  /// histogram at commit). 0 when histograms are disabled.
-  uint64_t start_ticks = 0;
 
   /// One registered predicate-lock entry (RangeLockManager): a scanned
   /// range (shared) or a written key (point). `point` distinguishes; a

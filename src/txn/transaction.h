@@ -164,9 +164,6 @@ class Transaction : public Txn {
   bool pessimistic = false;
   /// Hint only: read-only transactions skip write-side bookkeeping.
   bool read_only = false;
-  /// obs::NowTicks() at Begin (owning thread only; feeds the txn_lifetime
-  /// histogram at commit). 0 when histograms are disabled.
-  uint64_t start_ticks = 0;
 
   std::atomic<TxnState> state{TxnState::kActive};
   std::atomic<Timestamp> begin_ts{0};

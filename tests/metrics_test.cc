@@ -1,6 +1,7 @@
 // Metrics exposition end-to-end: the kMetrics opcode round-trips over a
 // loopback session and returns well-formed Prometheus text whose counter
-// and histogram samples agree with the work the session just did; the
+// and histogram samples agree with the work the session just did; reads
+// and scans are timed with their transaction's commit sample; the
 // replication-lag gauge appears when a replica gate is attached.
 #include <gtest/gtest.h>
 
@@ -123,8 +124,72 @@ TEST(MetricsTest, LoopbackRoundTripMatchesWork) {
   EXPECT_GE(samples["mvstore_commit_validate_seconds_count"], kCommits);
   EXPECT_GE(samples["mvstore_commit_log_append_seconds_count"], kCommits);
   EXPECT_GE(samples["mvstore_txn_lifetime_seconds_count"], kCommits);
-  // The read went through the Database facade.
-  EXPECT_GE(samples["mvstore_read_latency_seconds_count"], 1.0);
+  // The one read went through the Database facade: the threshold times
+  // every transaction, so every read lands in the histogram too.
+  EXPECT_EQ(samples["mvstore_read_latency_seconds_count"], 1.0);
+  EXPECT_EQ(samples["mvstore_reads_total"], 1.0);
+}
+
+/// Default sampling: reads and scans are timed inside exactly the
+/// transactions Begin sampled for commit tracing, while the reads counter
+/// stays exact.
+void ExpectReadsSampledWithTheirTransaction(Scheme scheme) {
+  DatabaseOptions opts;
+  opts.scheme = scheme;
+  Database db(opts);
+  TableId table = MakeRowTable(db);
+  constexpr uint64_t kReadsPerTxn = 4;
+  ASSERT_TRUE(db.RunTransaction(IsolationLevel::kReadCommitted, [&](Txn* txn) {
+                  for (uint64_t k = 0; k < kReadsPerTxn; ++k) {
+                    Row row{k, k};
+                    Status s = db.Insert(txn, table, &row);
+                    if (!s.ok()) return s;
+                  }
+                  return Status::OK();
+                }).ok());
+  // The load transaction may itself have been sampled: count from here.
+  auto count = [&db](obs::Hist hist) { return db.hists().Snapshot(hist).count; };
+  const uint64_t lifetime0 = count(obs::Hist::kTxnLifetime);
+  const uint64_t read0 = count(obs::Hist::kReadLatency);
+  const uint64_t scan0 = count(obs::Hist::kScanLatency);
+
+  constexpr uint64_t kTxns = 2 * (obs::kCommitSampleMask + 1);
+  for (uint64_t i = 0; i < kTxns; ++i) {
+    Txn* txn = db.Begin(IsolationLevel::kReadCommitted);
+    Row row{};
+    for (uint64_t k = 0; k < kReadsPerTxn; ++k) {
+      ASSERT_TRUE(db.Read(txn, table, 0, k, &row).ok());
+    }
+    ASSERT_TRUE(db.Scan(txn, table, 0, i % kReadsPerTxn, nullptr,
+                        [](const void*) { return true; })
+                    .ok());
+    ASSERT_TRUE(db.Commit(txn).ok());
+  }
+
+  // The per-thread round-robin samples exactly one Begin in every
+  // kCommitSampleMask + 1 consecutive ones.
+  const uint64_t sampled = count(obs::Hist::kTxnLifetime) - lifetime0;
+  const uint64_t reads_timed = count(obs::Hist::kReadLatency) - read0;
+  const uint64_t scans_timed = count(obs::Hist::kScanLatency) - scan0;
+  EXPECT_EQ(sampled, 2u);
+  EXPECT_EQ(reads_timed, kReadsPerTxn * sampled);
+  EXPECT_EQ(scans_timed, sampled);
+  EXPECT_LT(reads_timed, kReadsPerTxn * kTxns);
+  EXPECT_LT(scans_timed, kTxns);
+
+  // The scrape's reads counter counts every read, sampled or not.
+  ServerCore core(db);
+  std::map<std::string, double> samples = ParseExposition(core.MetricsText());
+  EXPECT_EQ(samples["mvstore_reads_total"],
+            static_cast<double>(kReadsPerTxn * kTxns));
+}
+
+TEST(MetricsTest, ReadTracingRidesTheCommitSample1V) {
+  ExpectReadsSampledWithTheirTransaction(Scheme::kSingleVersion);
+}
+
+TEST(MetricsTest, ReadTracingRidesTheCommitSampleMVO) {
+  ExpectReadsSampledWithTheirTransaction(Scheme::kMultiVersionOptimistic);
 }
 
 TEST(MetricsTest, CommitTracingIsSampledByDefault) {

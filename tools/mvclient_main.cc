@@ -239,7 +239,7 @@ int main(int argc, char** argv) {
       std::printf("%10.0f %10.0f %10.0f %9.1f %9.1f %9.1f %9.0f\n",
                   rate("mvstore_txn_committed_total"),
                   rate("mvstore_txn_aborted_total"),
-                  rate("mvstore_read_latency_seconds_count"), us(0.5),
+                  rate("mvstore_reads_total"), us(0.5),
                   us(0.9), us(0.99),
                   MetricValue(now, "mvstore_repl_lag_timestamps"));
       std::fflush(stdout);
