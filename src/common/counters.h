@@ -2,16 +2,14 @@
 //
 // Hot paths bump counters on every commit, abort, version install and slab
 // operation, so the cells they write must be core-private: each thread owns
-// a cacheline-aligned cell (acquired through the thread-slot registry and
-// recycled on thread exit) and bumps it with a plain load+store — no RMW,
-// no sharing. Aggregation walks the cells at CounterSnapshot()/Get() time.
-// This generalizes the slab allocator's magazine tally-flush trick to every
-// counter in the engine.
+// the cacheline-aligned cell of its ThreadSlot() (util/thread_slot.h) and
+// bumps it with a plain load+store — no RMW, no sharing. Aggregation walks
+// the cells at CounterSnapshot()/Get() time. A cell keeps its values when
+// its thread exits, and the next holder of the slot adds on top of them.
 //
-// A thread whose cell cache has already been torn down (counter bumps from
-// other thread-local destructors, e.g. slab magazine flushes) falls back to
-// a shared overflow cell with fetch_add; cells released on thread exit fold
-// their tallies into a retired cell so history survives recycling.
+// A thread with no slot (calls from thread_local destructors that run after
+// its slot is returned, or more live threads than kMaxThreadSlots) adds to
+// a shared overflow cell with fetch_add.
 #pragma once
 
 #include <array>
@@ -21,8 +19,7 @@
 #include <vector>
 
 #include "common/port.h"
-#include "common/spin_latch.h"
-#include "util/tls_slots.h"
+#include "util/thread_slot.h"
 
 namespace mvstore {
 
@@ -96,31 +93,19 @@ inline const char* StatName(Stat stat) {
 /// on the calling thread's own cacheline; Get() aggregates on demand.
 class StatsCollector {
  public:
-  /// Upper bound on concurrently registered threads; cells are recycled on
-  /// thread exit, overflow shares the fetch_add cell.
-  static constexpr uint32_t kMaxCells = 128;
-
-  StatsCollector()
-      : registry_id_(tls_slots::RegisterOwner(this, &ReleaseCellTrampoline)),
-        cells_(kMaxCells) {}
-
-  ~StatsCollector() {
-    // Before any member dies: no thread-exit callback may touch a
-    // half-destroyed collector.
-    tls_slots::UnregisterOwner(registry_id_);
-  }
+  StatsCollector() : cells_(kMaxThreadSlots) {}
 
   StatsCollector(const StatsCollector&) = delete;
   StatsCollector& operator=(const StatsCollector&) = delete;
 
   void Add(Stat stat, uint64_t delta = 1) {
-    Cell* cell = MyCell();
+    uint32_t slot = ThreadSlot();
     uint32_t i = static_cast<uint32_t>(stat);
-    if (cell != nullptr) {
-      // Single writer: the cell belongs to this thread until thread exit.
-      cell->values[i].store(
-          cell->values[i].load(std::memory_order_relaxed) + delta,
-          std::memory_order_relaxed);
+    if (slot != kNoSlot) {
+      // Single writer: the slot belongs to this thread until it exits.
+      auto& value = cells_[slot].values[i];
+      value.store(value.load(std::memory_order_relaxed) + delta,
+                  std::memory_order_relaxed);
       return;
     }
     overflow_.values[i].fetch_add(delta, std::memory_order_relaxed);
@@ -128,27 +113,18 @@ class StatsCollector {
 
   uint64_t Get(Stat stat) const {
     uint32_t i = static_cast<uint32_t>(stat);
-    uint64_t total =
-        retired_.values[i].load(std::memory_order_relaxed) +
-        overflow_.values[i].load(std::memory_order_relaxed);
-    uint32_t used = used_cells_.load(std::memory_order_acquire);
-    if (used > kMaxCells) used = kMaxCells;
-    for (uint32_t c = 0; c < used; ++c) {
+    uint64_t total = overflow_.values[i].load(std::memory_order_relaxed);
+    uint32_t bound = ThreadSlotBound();
+    for (uint32_t c = 0; c < bound; ++c) {
       total += cells_[c].values[i].load(std::memory_order_relaxed);
     }
     return total;
   }
 
   void Reset() {
-    uint32_t used = used_cells_.load(std::memory_order_acquire);
-    if (used > kMaxCells) used = kMaxCells;
-    for (uint32_t c = 0; c < used; ++c) {
-      for (auto& value : cells_[c].values) {
-        value.store(0, std::memory_order_relaxed);
-      }
-    }
-    for (auto& value : retired_.values) value.store(0, std::memory_order_relaxed);
-    for (auto& value : overflow_.values) value.store(0, std::memory_order_relaxed);
+    uint32_t bound = ThreadSlotBound();
+    for (uint32_t c = 0; c < bound; ++c) ZeroCell(cells_[c]);
+    ZeroCell(overflow_);
   }
 
   /// Multi-line human-readable dump of all non-zero counters.
@@ -165,75 +141,17 @@ class StatsCollector {
     return out;
   }
 
-  /// High-water mark of cell indexes ever used (tests).
-  uint32_t UsedCells() const {
-    return used_cells_.load(std::memory_order_acquire);
-  }
-
  private:
-  struct StatsCellTag {};
-  using CellCache = TlsSlotCache<StatsCellTag>;
-
   struct alignas(kCacheLineSize) Cell {
     std::array<std::atomic<uint64_t>, static_cast<uint32_t>(Stat::kNumStats)>
         values{};
   };
 
-  Cell* MyCell() {
-    uint32_t index = CellCache::Lookup(registry_id_);
-    if (index != CellCache::kNone) return &cells_[index];
-    return AcquireCell();
+  static void ZeroCell(Cell& cell) {
+    for (auto& value : cell.values) value.store(0, std::memory_order_relaxed);
   }
 
-  Cell* AcquireCell() {
-    uint32_t index = CellCache::kNone;
-    {
-      SpinLatchGuard guard(freelist_latch_);
-      if (!free_cells_.empty()) {
-        index = free_cells_.back();
-        free_cells_.pop_back();
-      } else {
-        uint32_t high_water = used_cells_.load(std::memory_order_relaxed);
-        if (high_water < kMaxCells) {
-          index = high_water;
-          used_cells_.store(high_water + 1, std::memory_order_release);
-        }
-      }
-    }
-    if (index == CellCache::kNone) return nullptr;  // exhausted: overflow
-    if (!CellCache::Store(registry_id_, index)) {
-      // Thread tearing down: nothing left to release the cell later.
-      ReleaseCell(index);
-      return nullptr;
-    }
-    return &cells_[index];
-  }
-
-  static void ReleaseCellTrampoline(void* owner, uint32_t cell) {
-    static_cast<StatsCollector*>(owner)->ReleaseCell(cell);
-  }
-
-  void ReleaseCell(uint32_t index) {
-    // Fold the exiting thread's tallies into the retired cell, zero the
-    // cell, and recycle it.
-    Cell& cell = cells_[index];
-    for (uint32_t i = 0; i < cell.values.size(); ++i) {
-      uint64_t v = cell.values[i].load(std::memory_order_relaxed);
-      if (v != 0) {
-        retired_.values[i].fetch_add(v, std::memory_order_relaxed);
-        cell.values[i].store(0, std::memory_order_relaxed);
-      }
-    }
-    SpinLatchGuard guard(freelist_latch_);
-    free_cells_.push_back(index);
-  }
-
-  const uint64_t registry_id_;
-  std::atomic<uint32_t> used_cells_{0};
-  SpinLatch freelist_latch_;
-  std::vector<uint32_t> free_cells_ GUARDED_BY(freelist_latch_);
   std::vector<Cell> cells_;
-  Cell retired_{};
   Cell overflow_{};
 };
 

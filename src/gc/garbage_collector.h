@@ -16,7 +16,7 @@
 //
 // Thread-affine shards: the queue is split into kShards cacheline-aligned
 // shards, and a thread always enqueues into and cooperatively drains shard
-// ThreadOrdinal() % kShards (util/thread_ordinal.h), so a commit's GC work
+// ThreadSlot() % kShards (util/thread_slot.h), so a commit's GC work
 // stays on lines that thread owns. A thread draws its end timestamps in
 // increasing order, so its shard is ordered by retire_after and a drain pops
 // ready items off the front, stopping at the first blocked one. Each shard
@@ -27,7 +27,8 @@
 //
 // Versions retired by a thread that has exited stay in its shard until
 // RunOnce drains them (the background sweeper every gc_interval_us, and
-// shutdown) or a later thread that maps to the same shard cooperates. With
+// shutdown) or a later thread on the same shard cooperates; the next thread
+// to draw the exited thread's slot lands there. With
 // the background thread off they therefore wait for an explicit RunOnce.
 #pragma once
 
@@ -45,13 +46,13 @@
 #include "storage/table.h"
 #include "txn/txn_table.h"
 #include "util/epoch.h"
-#include "util/thread_ordinal.h"
+#include "util/thread_slot.h"
 
 namespace mvstore {
 
 class GarbageCollector {
  public:
-  /// Queue shards; a thread uses shard ThreadOrdinal() % kShards.
+  /// Queue shards; a thread uses shard ThreadSlot() % kShards.
   static constexpr uint32_t kShards = 16;
 
   GarbageCollector(TxnTable& txn_table, EpochManager& epoch,
@@ -131,7 +132,7 @@ class GarbageCollector {
     std::atomic<uint32_t> drains_in_flight{0};
   };
 
-  Shard& MyShard() { return shards_[ThreadOrdinal() % kShards]; }
+  Shard& MyShard() { return shards_[ThreadSlot() % kShards]; }
   uint32_t Drain(Shard& shard, Timestamp watermark, uint32_t budget);
 
   TxnTable& txn_table_;

@@ -4,7 +4,7 @@
 #include <functional>
 
 #include "common/failpoint.h"
-#include "util/thread_ordinal.h"
+#include "util/thread_slot.h"
 
 #if defined(_WIN32)
 #include <io.h>
@@ -78,7 +78,7 @@ void Logger::Append(const std::vector<uint8_t>& record) {
   if (replay_paused_.load(std::memory_order_acquire)) {
     return;  // replaying: the record is already on disk
   }
-  Lane& lane = lanes_[ThreadOrdinal() % kLanes];
+  Lane& lane = lanes_[ThreadSlot() % kLanes];
   uint64_t my_end;
   {
     SpinLatchGuard guard(lane.latch);

@@ -109,8 +109,8 @@ class CommitObserver {
 
 class Logger {
  public:
-  /// Append lanes. A thread appends to lane ThreadOrdinal() % kLanes
-  /// (util/thread_ordinal.h); threads beyond kLanes share.
+  /// Append lanes. A thread appends to lane ThreadSlot() % kLanes
+  /// (util/thread_slot.h); threads beyond kLanes share.
   static constexpr size_t kLanes = 16;
 
   /// Logger takes ownership of `sink` (must be non-null unless kDisabled).

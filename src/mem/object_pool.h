@@ -12,7 +12,9 @@
 // other cleanup.
 //
 // Recycled objects circulate like slab slots (mem/slab_allocator.h): a
-// latch-free thread-local cache over a spin-latched global freelist. With
+// latch-free cache per ThreadSlot() (util/thread_slot.h) over a spin-latched
+// global freelist. A cache outlives its thread and serves the next holder of
+// the slot; a caller with no slot goes straight to the freelist. With
 // `enabled = false` the pool degrades to plain new/delete, the heap-debug
 // configuration (ASan sees every transaction boundary again).
 //
@@ -23,15 +25,14 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/counters.h"
 #include "common/port.h"
 #include "common/spin_latch.h"
+#include "util/thread_slot.h"
 
 namespace mvstore {
 
@@ -42,9 +43,7 @@ class ObjectPool {
   static constexpr uint32_t kTransferBatch = kCacheCapacity / 2;
 
   explicit ObjectPool(bool enabled, StatsCollector* stats = nullptr)
-      : enabled_(enabled),
-        pool_id_(next_pool_id_.fetch_add(1, std::memory_order_relaxed)),
-        stats_(stats) {}
+      : enabled_(enabled), stats_(stats) {}
 
   /// Destroys every object the pool ever created, including ones still
   /// acquired -- callers must have quiesced.
@@ -60,10 +59,10 @@ class ObjectPool {
   template <typename... Args>
   T* Acquire(Args&&... args) {
     if (!enabled_) return new T(std::forward<Args>(args)...);
-    Cache& c = CacheForThisThread();
-    if (c.count > 0) {
+    Cache* c = caches_.Mine();
+    if (c != nullptr && c->count > 0) {
       if (stats_ != nullptr) stats_->Add(Stat::kTxnPoolHits);
-      T* obj = c.items[--c.count];
+      T* obj = c->items[--c->count];
       obj->Reset(std::forward<Args>(args)...);
       return obj;
     }
@@ -77,14 +76,19 @@ class ObjectPool {
       delete obj;
       return;
     }
-    Cache& c = CacheForThisThread();
-    if (c.count == kCacheCapacity) {
+    Cache* c = caches_.Mine();
+    if (c == nullptr) {
       SpinLatchGuard guard(latch_);
-      free_.insert(free_.end(), c.items, c.items + kTransferBatch);
-      std::copy(c.items + kTransferBatch, c.items + c.count, c.items);
-      c.count -= kTransferBatch;
+      free_.push_back(obj);
+      return;
     }
-    c.items[c.count++] = obj;
+    if (c->count == kCacheCapacity) {
+      SpinLatchGuard guard(latch_);
+      free_.insert(free_.end(), c->items, c->items + kTransferBatch);
+      std::copy(c->items + kTransferBatch, c->items + c->count, c->items);
+      c->count -= kTransferBatch;
+    }
+    c->items[c->count++] = obj;
   }
 
   bool enabled() const { return enabled_; }
@@ -95,35 +99,19 @@ class ObjectPool {
     T* items[kCacheCapacity];
   };
 
-  /// Same registry trick as SlabAllocator::MagazineForThisThread: a
-  /// thread-local vector indexed by a never-reused pool id.
-  Cache& CacheForThisThread() {
-    thread_local std::vector<Cache*> tl_caches;
-    if (pool_id_ < tl_caches.size() && tl_caches[pool_id_] != nullptr) {
-      return *tl_caches[pool_id_];
-    }
-    auto owned = std::make_unique<Cache>();
-    Cache* c = owned.get();
-    {
-      SpinLatchGuard guard(latch_);
-      caches_.push_back(std::move(owned));
-    }
-    if (tl_caches.size() <= pool_id_) tl_caches.resize(pool_id_ + 1);
-    tl_caches[pool_id_] = c;
-    return *c;
-  }
-
+  /// Refill `c` from the freelist, or serve a slotless caller (`c` ==
+  /// nullptr) one object from it.
   template <typename... Args>
-  T* AcquireSlow(Cache& c, Args&&... args) {
+  T* AcquireSlow(Cache* c, Args&&... args) {
     T* recycled = nullptr;
     {
       SpinLatchGuard guard(latch_);
       if (!free_.empty()) {
         recycled = free_.back();
         free_.pop_back();
-        uint32_t take = kTransferBatch - 1;
+        uint32_t take = c != nullptr ? kTransferBatch - 1 : 0;
         while (take > 0 && !free_.empty()) {
-          c.items[c.count++] = free_.back();
+          c->items[c->count++] = free_.back();
           free_.pop_back();
           --take;
         }
@@ -143,10 +131,7 @@ class ObjectPool {
     return obj;
   }
 
-  inline static std::atomic<uint32_t> next_pool_id_{0};
-
   const bool enabled_;
-  const uint32_t pool_id_;
   StatsCollector* const stats_;
 
   SpinLatch latch_;
@@ -154,7 +139,7 @@ class ObjectPool {
   /// Latched for writes; the destructor's unlatched sweep is a quiesced-
   /// caller contract (ctors/dtors are exempt from the analysis anyway).
   std::vector<T*> all_ GUARDED_BY(latch_);
-  std::vector<std::unique_ptr<Cache>> caches_ GUARDED_BY(latch_);
+  PerThreadSlot<Cache> caches_;
 };
 
 }  // namespace mvstore

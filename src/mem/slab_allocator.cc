@@ -5,64 +5,15 @@
 
 namespace mvstore {
 
-namespace {
-/// Allocator ids are process-unique and never reused, so stale entries in a
-/// thread's magazine registry can never alias a live allocator.
-std::atomic<uint32_t> next_allocator_id{0};
-}  // namespace
-
 SlabAllocator::SlabAllocator(size_t slot_size, StatsCollector* stats)
     : slot_size_((std::max(slot_size, sizeof(void*)) + kSlotAlign - 1) &
                  ~(kSlotAlign - 1)),
       chunk_bytes_(std::max(kMinChunkBytes,
                             slot_size_ * static_cast<size_t>(kTransferBatch))),
-      allocator_id_(next_allocator_id.fetch_add(1, std::memory_order_relaxed)),
-      stats_(stats),
-      registry_id_(tls_slots::RegisterOwner(this, &FlushStatsTrampoline)) {}
+      stats_(stats) {}
 
 SlabAllocator::~SlabAllocator() {
-  // Before any member dies: no thread-exit callback may touch a
-  // half-destroyed allocator.
-  tls_slots::UnregisterOwner(registry_id_);
-  for (auto& m : magazines_) FlushLocalStats(*m);
   for (void* chunk : chunks_) ::operator delete(chunk);
-}
-
-SlabAllocator::Magazine& SlabAllocator::RegisterThread(
-    std::vector<Magazine*>& registry) {
-  auto owned = std::make_unique<Magazine>();
-  Magazine* m = owned.get();
-  uint32_t index;
-  {
-    SpinLatchGuard guard(latch_);
-    index = static_cast<uint32_t>(magazines_.size());
-    magazines_.push_back(std::move(owned));
-  }
-  if (registry.size() <= allocator_id_) registry.resize(allocator_id_ + 1);
-  registry[allocator_id_] = m;
-  // Hook thread exit so the magazine's local stat tallies (bounded by
-  // kStatsFlushMask) are folded in when the thread dies, not only when the
-  // allocator is destroyed. A failed Store means this thread's slot cache is
-  // already torn down; the magazine then flushes at allocator destruction as
-  // before.
-  ExitCache::Store(registry_id_, index);
-  return *m;
-}
-
-void SlabAllocator::FlushStatsTrampoline(void* owner, uint32_t magazine_index) {
-  auto* self = static_cast<SlabAllocator*>(owner);
-  Magazine* m = nullptr;
-  {
-    SpinLatchGuard guard(self->latch_);
-    if (magazine_index < self->magazines_.size()) {
-      m = self->magazines_[magazine_index].get();
-    }
-  }
-  // The magazine belongs to the exiting thread; nobody else records into it,
-  // so flushing outside the latch is single-writer safe. StatsCollector
-  // falls back to its overflow cell during TLS teardown and never re-enters
-  // the slot registry, which keeps this callback deadlock-free.
-  if (m != nullptr) self->FlushLocalStats(*m);
 }
 
 void SlabAllocator::NewChunkLocked() {
@@ -71,29 +22,32 @@ void SlabAllocator::NewChunkLocked() {
   bump_ = static_cast<char*>(chunk);
   bump_end_ = bump_ + (chunk_bytes_ / slot_size_) * slot_size_;
   chunks_allocated_.fetch_add(1, std::memory_order_relaxed);
-  if (stats_ != nullptr) stats_->Add(Stat::kSlabChunksAllocated);
+  Count(Stat::kSlabChunksAllocated);
 }
 
-void* SlabAllocator::AllocateSlow(Magazine& m) {
-  FlushLocalStats(m);
-  if (stats_ != nullptr) stats_->Add(Stat::kSlabMagazineMisses);
+void* SlabAllocator::AllocateSlow(Magazine* m) {
+  Count(Stat::kSlabMagazineMisses);
+  void* single = nullptr;
+  void** out = m != nullptr ? m->slots : &single;
+  uint32_t want = m != nullptr ? kTransferBatch : 1;
   uint32_t filled = 0;
   {
     SpinLatchGuard guard(latch_);
     // Recycled slots first: they are warm and bound memory growth.
-    while (filled < kTransferBatch && !spine_.empty()) {
-      m.slots[filled++] = spine_.back();
+    while (filled < want && !spine_.empty()) {
+      out[filled++] = spine_.back();
       spine_.pop_back();
     }
     // Top up from the bump region of the newest chunk.
-    while (filled < kTransferBatch) {
+    while (filled < want) {
       if (bump_ == bump_end_) NewChunkLocked();
-      m.slots[filled++] = bump_;
+      out[filled++] = bump_;
       bump_ += slot_size_;
     }
   }
-  m.count = filled - 1;
-  return m.slots[filled - 1];
+  if (m == nullptr) return single;
+  m->count = filled - 1;
+  return m->slots[filled - 1];
 }
 
 void SlabAllocator::FlushMagazine(Magazine& m) {
@@ -105,22 +59,6 @@ void SlabAllocator::FlushMagazine(Magazine& m) {
   }
   std::copy(m.slots + kTransferBatch, m.slots + m.count, m.slots);
   m.count -= kTransferBatch;
-}
-
-void SlabAllocator::FlushLocalStats(Magazine& m) {
-  if (stats_ == nullptr) {
-    m.hits = 0;
-    m.recycled = 0;
-    return;
-  }
-  if (m.hits > 0) {
-    stats_->Add(Stat::kSlabMagazineHits, m.hits);
-    m.hits = 0;
-  }
-  if (m.recycled > 0) {
-    stats_->Add(Stat::kSlabSlotsRecycled, m.recycled);
-    m.recycled = 0;
-  }
 }
 
 }  // namespace mvstore

@@ -13,15 +13,19 @@
 // out of large chunks and never returned to the OS until the allocator dies;
 // freed slots circulate through three tiers:
 //
-//   thread-local magazine  --  array of slot pointers, touched only by its
-//                              owning thread: the hot path is latch-free
+//   per-thread magazine    --  array of slot pointers for the caller's
+//                              ThreadSlot() (util/thread_slot.h), touched
+//                              only by that slot's holder: the hot path is
+//                              latch-free
 //   global freelist spine  --  spin-latched; magazines refill from / flush
 //                              to it in half-magazine batches
 //   chunk bump region      --  fresh slots, carved under the same latch
 //
 // Frees may come from any thread (GC and epoch reclamation run wherever
 // retirement happens); a slot freed on thread A enters A's magazine and
-// migrates to other threads through the spine.
+// migrates to other threads through the spine. A magazine outlives its
+// thread: the next thread to draw the same slot allocates from it. A caller
+// with no slot allocates and frees one slot at a time under the spine latch.
 //
 // Safety: a slot handed back via Free() may be handed out again by the next
 // Allocate() with no quarantine. Callers must ensure no concurrent reader
@@ -33,13 +37,12 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/counters.h"
 #include "common/port.h"
 #include "common/spin_latch.h"
-#include "util/tls_slots.h"
+#include "util/thread_slot.h"
 
 namespace mvstore {
 
@@ -58,10 +61,6 @@ class SlabAllocator {
   /// Chunks are at least this large (and always hold >= kTransferBatch
   /// slots) so chunk allocation stays rare.
   static constexpr size_t kMinChunkBytes = 64 * 1024;
-  /// Local hit/recycle tallies are folded into the StatsCollector every
-  /// (kStatsFlushMask + 1) events, keeping the hot path free of shared
-  /// atomics while bounding counter staleness.
-  static constexpr uint64_t kStatsFlushMask = 1023;
 
   /// `stats` may be nullptr (no counter export). The allocator hands out
   /// slots of exactly `slot_size` bytes rounded up to kSlotAlign.
@@ -73,20 +72,25 @@ class SlabAllocator {
 
   /// Get one slot. Hot path: pop from this thread's magazine, no latch.
   void* Allocate() {
-    Magazine& m = MagazineForThisThread();
-    if (m.count > 0) {
-      if (((++m.hits) & kStatsFlushMask) == 0) FlushLocalStats(m);
-      return m.slots[--m.count];
+    Magazine* m = magazines_.Mine();
+    if (MVSTORE_LIKELY(m != nullptr && m->count > 0)) {
+      Count(Stat::kSlabMagazineHits);
+      return m->slots[--m->count];
     }
     return AllocateSlow(m);
   }
 
   /// Return one slot. Hot path: push onto this thread's magazine.
   void Free(void* slot) {
-    Magazine& m = MagazineForThisThread();
-    if (m.count == kMagazineCapacity) FlushMagazine(m);
-    if (((++m.recycled) & kStatsFlushMask) == 0) FlushLocalStats(m);
-    m.slots[m.count++] = slot;
+    Count(Stat::kSlabSlotsRecycled);
+    Magazine* m = magazines_.Mine();
+    if (MVSTORE_UNLIKELY(m == nullptr)) {
+      SpinLatchGuard guard(latch_);
+      spine_.push_back(slot);
+      return;
+    }
+    if (m->count == kMagazineCapacity) FlushMagazine(*m);
+    m->slots[m->count++] = slot;
   }
 
   size_t slot_size() const { return slot_size_; }
@@ -99,47 +103,22 @@ class SlabAllocator {
  private:
   struct alignas(kCacheLineSize) Magazine {
     uint32_t count = 0;
-    /// Local stat tallies, folded into stats_ on slow paths / periodically.
-    uint64_t hits = 0;
-    uint64_t recycled = 0;
     void* slots[kMagazineCapacity];
   };
 
-  /// This thread's magazine for this allocator. The registry is a plain
-  /// thread-local vector indexed by a process-unique allocator id, so the
-  /// steady-state lookup is one bounds check + load (no hashing). Entries
-  /// for destroyed allocators go stale but are never revisited: ids are
-  /// never reused.
-  Magazine& MagazineForThisThread() {
-    thread_local std::vector<Magazine*> tl_magazines;
-    if (allocator_id_ < tl_magazines.size() &&
-        tl_magazines[allocator_id_] != nullptr) {
-      return *tl_magazines[allocator_id_];
-    }
-    return RegisterThread(tl_magazines);
+  void Count(Stat stat) {
+    if (stats_ != nullptr) stats_->Add(stat);
   }
-
-  /// Tag for the thread-exit hook: each registering thread caches its
-  /// magazine's index so the exit callback can flush the sub-kStatsFlushMask
-  /// stat remainders that would otherwise stay invisible until the
-  /// allocator itself is destroyed.
-  struct SlabExitTag {};
-  using ExitCache = TlsSlotCache<SlabExitTag>;
-
-  Magazine& RegisterThread(std::vector<Magazine*>& registry);
-  void* AllocateSlow(Magazine& m);
+  /// Refill `m` from the spine, or hand a slotless caller (`m` == nullptr)
+  /// one slot.
+  void* AllocateSlow(Magazine* m);
   void FlushMagazine(Magazine& m);
-  void FlushLocalStats(Magazine& m);
-  static void FlushStatsTrampoline(void* owner, uint32_t magazine_index);
   /// Carve a new chunk.
   void NewChunkLocked() REQUIRES(latch_);
 
   const size_t slot_size_;
   const size_t chunk_bytes_;
-  const uint32_t allocator_id_;
   StatsCollector* const stats_;
-  /// tls_slots owner id for the thread-exit stat flush.
-  const uint64_t registry_id_;
 
   SpinLatch latch_;
   /// Global freelist spine (latched).
@@ -150,8 +129,7 @@ class SlabAllocator {
   /// Bump region of the newest chunk.
   char* bump_ GUARDED_BY(latch_) = nullptr;
   char* bump_end_ GUARDED_BY(latch_) = nullptr;
-  /// Magazines owned by this allocator (one per registered thread).
-  std::vector<std::unique_ptr<Magazine>> magazines_ GUARDED_BY(latch_);
+  PerThreadSlot<Magazine> magazines_;
 
   std::atomic<uint64_t> chunks_allocated_{0};
 };

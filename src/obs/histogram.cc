@@ -24,69 +24,5 @@ double NanosPerTick() {
   return ratio;
 }
 
-LatencyHistograms::Cell* LatencyHistograms::AcquireCell() {
-  uint32_t index = CellCache::kNone;
-  {
-    SpinLatchGuard guard(freelist_latch_);
-    if (!free_cells_.empty()) {
-      index = free_cells_.back();
-      free_cells_.pop_back();
-    } else {
-      uint32_t high_water = used_cells_.load(std::memory_order_relaxed);
-      if (high_water < kMaxCells) {
-        index = high_water;
-        used_cells_.store(high_water + 1, std::memory_order_release);
-      }
-    }
-  }
-  if (index == CellCache::kNone) return nullptr;  // exhausted: overflow
-  // Allocation happens outside the latch: this thread owns `index`
-  // exclusively until it is released, so the slot cannot race.
-  Cell* cell = cells_[index].load(std::memory_order_acquire);
-  if (cell == nullptr) {
-    cell = new Cell();
-    cells_[index].store(cell, std::memory_order_release);
-  }
-  if (!CellCache::Store(registry_id_, index)) {
-    // Thread tearing down: nothing left to release the cell later.
-    ReleaseCell(index);
-    return nullptr;
-  }
-  return cell;
-}
-
-void LatencyHistograms::ReleaseCell(uint32_t index) {
-  // Fold the exiting thread's tallies into the retired cell, zero the
-  // cell, and recycle it. retired_ takes fetch_add: several threads may be
-  // exiting at once.
-  Cell* cell = cells_[index].load(std::memory_order_acquire);
-  if (cell != nullptr) {
-    for (uint32_t h = 0; h < cell->slots.size(); ++h) {
-      Slot& from = cell->slots[h];
-      Slot& into = retired_.slots[h];
-      for (uint32_t i = 0; i < kNumBuckets; ++i) {
-        uint64_t n = from.buckets[i].load(std::memory_order_relaxed);
-        if (n != 0) {
-          into.buckets[i].fetch_add(n, std::memory_order_relaxed);
-          from.buckets[i].store(0, std::memory_order_relaxed);
-        }
-      }
-      uint64_t sum = from.sum.load(std::memory_order_relaxed);
-      if (sum != 0) {
-        into.sum.fetch_add(sum, std::memory_order_relaxed);
-        from.sum.store(0, std::memory_order_relaxed);
-      }
-      uint64_t max = from.max.load(std::memory_order_relaxed);
-      from.max.store(0, std::memory_order_relaxed);
-      uint64_t seen = into.max.load(std::memory_order_relaxed);
-      while (max > seen && !into.max.compare_exchange_weak(
-                               seen, max, std::memory_order_relaxed)) {
-      }
-    }
-  }
-  SpinLatchGuard guard(freelist_latch_);
-  free_cells_.push_back(index);
-}
-
 }  // namespace obs
 }  // namespace mvstore

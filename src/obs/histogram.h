@@ -1,12 +1,13 @@
 // Striped latency histograms for the engine's hot paths.
 //
 // The same discipline as common/counters.h, applied to distributions: each
-// thread owns a cacheline-aligned cell (acquired through the thread-slot
-// registry, recycled on thread exit), and Record() is a handful of plain
-// load+store pairs on that private cell — no RMW, no sharing, ~1ns. A
-// registry-level enable flag short-circuits Record() to a single relaxed
-// load when observability is off. Aggregation merges the cells into a
-// HistogramData snapshot on demand (exposition, bench probes, tests).
+// thread owns the cacheline-aligned cell of its ThreadSlot()
+// (util/thread_slot.h), allocated on the slot's first Record() and kept for
+// the slot's next holder, and Record() is a handful of plain load+store
+// pairs on that private cell — no RMW, no sharing, ~1ns. A registry-level
+// enable flag short-circuits Record() to a single relaxed load when
+// observability is off. Aggregation merges the cells into a HistogramData
+// snapshot on demand (exposition, bench probes, tests).
 //
 // Values are recorded in *ticks* of a cheap monotonic clock (rdtsc on
 // x86-64, cntvct_el0 on arm64, steady_clock elsewhere): a steady_clock read
@@ -31,8 +32,7 @@
 #include <vector>
 
 #include "common/port.h"
-#include "common/spin_latch.h"
-#include "util/tls_slots.h"
+#include "util/thread_slot.h"
 
 namespace mvstore {
 namespace obs {
@@ -195,27 +195,13 @@ inline const char* HistName(Hist hist) {
 /// slot table.
 class LatencyHistograms {
  public:
-  /// Upper bound on concurrently recording threads; cells recycle on
-  /// thread exit, overflow shares a fetch_add cell.
-  static constexpr uint32_t kMaxCells = 64;
-
-  explicit LatencyHistograms(bool enabled = true)
-      : registry_id_(tls_slots::RegisterOwner(this, &ReleaseCellTrampoline)),
-        enabled_(enabled),
-        cells_(kMaxCells) {}
-
-  ~LatencyHistograms() {
-    // Before any member dies: no thread-exit callback may touch a
-    // half-destroyed registry.
-    tls_slots::UnregisterOwner(registry_id_);
-    for (auto& slot : cells_) delete slot.load(std::memory_order_relaxed);
-  }
+  explicit LatencyHistograms(bool enabled = true) : enabled_(enabled) {}
 
   LatencyHistograms(const LatencyHistograms&) = delete;
   LatencyHistograms& operator=(const LatencyHistograms&) = delete;
 
   /// When disabled, Record() is one relaxed load and a branch — a true
-  /// no-op: no cell is acquired, no bucket is touched.
+  /// no-op: no cell is allocated, no bucket is touched.
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void SetEnabled(bool enabled) {
     enabled_.store(enabled, std::memory_order_relaxed);
@@ -224,9 +210,9 @@ class LatencyHistograms {
   void Record(Hist hist, uint64_t value) {
     if (!enabled_.load(std::memory_order_relaxed)) return;
     uint32_t h = static_cast<uint32_t>(hist);
-    Cell* cell = MyCell();
+    Cell* cell = cells_.Mine();
     if (cell != nullptr) {
-      // Single writer: the cell belongs to this thread until thread exit.
+      // Single writer: the slot belongs to this thread until it exits.
       Slot& slot = cell->slots[h];
       auto& bucket = slot.buckets[BucketIndex(value)];
       bucket.store(bucket.load(std::memory_order_relaxed) + 1,
@@ -247,43 +233,30 @@ class LatencyHistograms {
     Record(hist, NowTicks() - start_ticks);
   }
 
-  /// Merge every cell (live, retired, overflow) for one histogram. Cold
+  /// Merge every cell (per-thread and overflow) for one histogram. Cold
   /// path; concurrent Record()s may or may not be included (torn per-value
   /// reads are impossible — each bucket is a single atomic).
   HistogramData Snapshot(Hist hist) const {
     HistogramData out;
     uint32_t h = static_cast<uint32_t>(hist);
-    MergeSlot(retired_.slots[h], &out);
     MergeSlot(overflow_.slots[h], &out);
-    uint32_t used = used_cells_.load(std::memory_order_acquire);
-    if (used > kMaxCells) used = kMaxCells;
-    for (uint32_t c = 0; c < used; ++c) {
-      const Cell* cell = cells_[c].load(std::memory_order_acquire);
-      if (cell != nullptr) MergeSlot(cell->slots[h], &out);
-    }
+    cells_.ForEach([&](const Cell& cell) { MergeSlot(cell.slots[h], &out); });
     return out;
   }
 
   void Reset() {
-    uint32_t used = used_cells_.load(std::memory_order_acquire);
-    if (used > kMaxCells) used = kMaxCells;
-    for (uint32_t c = 0; c < used; ++c) {
-      Cell* cell = cells_[c].load(std::memory_order_acquire);
-      if (cell != nullptr) ZeroCell(cell);
-    }
-    ZeroCell(&retired_);
+    cells_.ForEach([](Cell& cell) { ZeroCell(&cell); });
     ZeroCell(&overflow_);
   }
 
-  /// High-water mark of cell indexes ever used (tests).
+  /// Per-thread cells allocated so far (tests).
   uint32_t UsedCells() const {
-    return used_cells_.load(std::memory_order_acquire);
+    uint32_t used = 0;
+    cells_.ForEach([&](const Cell&) { ++used; });
+    return used;
   }
 
  private:
-  struct HistCellTag {};
-  using CellCache = TlsSlotCache<HistCellTag>;
-
   struct Slot {
     std::array<std::atomic<uint64_t>, kNumBuckets> buckets{};
     std::atomic<uint64_t> sum{0};
@@ -294,9 +267,9 @@ class LatencyHistograms {
     std::array<Slot, static_cast<uint32_t>(Hist::kNumHists)> slots{};
   };
 
-  /// fetch_add path for threads without a private cell (registry
-  /// exhausted, or bumps from thread-local destructors after teardown) and
-  /// for folding exiting threads into retired_.
+  /// fetch_add path for slotless callers (more live threads than
+  /// kMaxThreadSlots, or records from thread_local destructors after the
+  /// thread's slot was returned).
   static void SharedRecord(Slot& slot, uint64_t value) {
     slot.buckets[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
     slot.sum.fetch_add(value, std::memory_order_relaxed);
@@ -328,31 +301,8 @@ class LatencyHistograms {
     }
   }
 
-  Cell* MyCell() {
-    uint32_t index = CellCache::Lookup(registry_id_);
-    if (index != CellCache::kNone) {
-      return cells_[index].load(std::memory_order_acquire);
-    }
-    return AcquireCell();
-  }
-
-  Cell* AcquireCell();
-
-  static void ReleaseCellTrampoline(void* owner, uint32_t cell) {
-    static_cast<LatencyHistograms*>(owner)->ReleaseCell(cell);
-  }
-
-  void ReleaseCell(uint32_t index);
-
-  const uint64_t registry_id_;
   std::atomic<bool> enabled_;
-  std::atomic<uint32_t> used_cells_{0};
-  SpinLatch freelist_latch_;
-  std::vector<uint32_t> free_cells_ GUARDED_BY(freelist_latch_);
-  /// Slot i is written once (nullptr -> heap cell) by the thread that first
-  /// claims index i; the pointer then lives until the registry dies.
-  std::vector<std::atomic<Cell*>> cells_;
-  Cell retired_{};
+  PerThreadSlot<Cell> cells_;
   Cell overflow_{};
 };
 

@@ -32,6 +32,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/port.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "core/engine_core.h"
@@ -198,7 +199,9 @@ class SVEngine final : public EngineCore {
   /// (nullptr for hash slots).
   std::vector<std::unique_ptr<RangeLockManager>> range_locks_;
   std::vector<uint32_t> lock_table_base_;  // table id -> first lock table
-  std::atomic<TxnId> next_txn_id_{1};
+  /// Bumped by every Begin and Commit: kept off the lines of the lock-table
+  /// vectors above, which every lock acquisition reads.
+  alignas(kCacheLineSize) std::atomic<TxnId> next_txn_id_{1};
   std::atomic<Timestamp> commit_clock_{0};
 };
 

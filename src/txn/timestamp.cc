@@ -1,71 +1,16 @@
 #include "txn/timestamp.h"
 
-#include "util/tls_slots.h"
+#include "util/thread_slot.h"
 
 namespace mvstore {
 namespace {
-
-struct TimestampSlotTag {};
-using TsSlotCache = TlsSlotCache<TimestampSlotTag>;
-
-constexpr uint32_t kNoSlot = ~uint32_t{0};
 
 std::atomic<uint64_t> next_txn_id_instance{1};
 
 }  // namespace
 
 TimestampGenerator::TimestampGenerator(uint32_t block_size)
-    : block_size_(block_size == 0 ? 1 : block_size),
-      registry_id_(tls_slots::RegisterOwner(this, &ReleaseSlotTrampoline)),
-      slots_(kMaxSlots) {}
-
-TimestampGenerator::~TimestampGenerator() {
-  // First, before any member dies: no thread-exit callback may touch a
-  // half-destroyed generator.
-  tls_slots::UnregisterOwner(registry_id_);
-}
-
-TimestampGenerator::Slot* TimestampGenerator::MySlot() {
-  uint32_t index = TsSlotCache::Lookup(registry_id_);
-  if (index != TsSlotCache::kNone) return &slots_[index];
-  return AcquireSlot();
-}
-
-TimestampGenerator::Slot* TimestampGenerator::AcquireSlot() {
-  uint32_t index = kNoSlot;
-  {
-    SpinLatchGuard guard(freelist_latch_);
-    if (!free_slots_.empty()) {
-      index = free_slots_.back();
-      free_slots_.pop_back();
-    } else {
-      uint32_t high_water = used_slots_.load(std::memory_order_relaxed);
-      if (high_water < kMaxSlots) {
-        index = high_water;
-        used_slots_.store(high_water + 1, std::memory_order_release);
-      }
-    }
-  }
-  if (index == kNoSlot) return nullptr;  // > kMaxSlots concurrent threads
-  if (!TsSlotCache::Store(registry_id_, index)) {
-    // Thread is tearing down: nothing left to release the slot later.
-    ReleaseSlotIndex(index);
-    return nullptr;
-  }
-  return &slots_[index];
-}
-
-void TimestampGenerator::ReleaseSlotTrampoline(void* owner, uint32_t slot) {
-  static_cast<TimestampGenerator*>(owner)->ReleaseSlotIndex(slot);
-}
-
-void TimestampGenerator::ReleaseSlotIndex(uint32_t index) {
-  // The partially drawn block stays in the slot: the next owner continues
-  // it (uniqueness holds -- the freelist hands a slot to one thread at a
-  // time, and the latch orders the handoff).
-  SpinLatchGuard guard(freelist_latch_);
-  free_slots_.push_back(index);
-}
+    : block_size_(block_size == 0 ? 1 : block_size), slots_(kMaxThreadSlots) {}
 
 void TimestampGenerator::PublishDrawn(uint64_t ts) {
   // Skip-if-lower CAS-max: only draws above every prior draw write the
@@ -77,8 +22,8 @@ void TimestampGenerator::PublishDrawn(uint64_t ts) {
 }
 
 Timestamp TimestampGenerator::Next() {
-  Slot* slot = MySlot();
-  if (slot == nullptr) {
+  uint32_t index = ThreadSlot();
+  if (index == kNoSlot) {
     // Slotless draw (thread teardown or slot exhaustion): a one-timestamp
     // block, degenerating to the unbatched fetch_add.
     uint64_t t = alloc_.fetch_add(1, std::memory_order_seq_cst) + 1;
@@ -91,13 +36,18 @@ Timestamp TimestampGenerator::Next() {
   // above alloc_ >= ceiling_. Ordering matters: the ceiling load comes
   // after the caller's Preparing store (both seq_cst), which is what pins
   // T > B for every reader that still saw the caller as Active.
-  if (slot->next > slot->limit ||
-      slot->next <= ceiling_.load(std::memory_order_seq_cst)) {
+  Slot& slot = slots_[index];
+  if (slot.next > slot.limit ||
+      slot.next <= ceiling_.load(std::memory_order_seq_cst)) {
     uint64_t base = alloc_.fetch_add(block_size_, std::memory_order_seq_cst);
-    slot->next = base + 1;
-    slot->limit = base + block_size_;
+    slot.next = base + 1;
+    slot.limit = base + block_size_;
+    uint32_t used = used_slots_.load(std::memory_order_relaxed);
+    while (index >= used && !used_slots_.compare_exchange_weak(
+                                used, index + 1, std::memory_order_release)) {
+    }
   }
-  uint64_t t = slot->next++;
+  uint64_t t = slot.next++;
   PublishDrawn(t);
   return t;
 }

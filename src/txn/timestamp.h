@@ -9,8 +9,9 @@
 //
 //   * Allocation (Next, commits only): each thread carves a private block of
 //     end timestamps off the shared `alloc_` cursor, then draws from the
-//     block with plain stores to its own cacheline. The shared cursor is
-//     touched once per block, not once per commit.
+//     block with plain stores to its own cacheline (the slot of its
+//     ThreadSlot(), util/thread_slot.h). The shared cursor is touched once
+//     per block, not once per commit. A thread with no slot draws unbatched.
 //   * Observation (Current, begins and Read Committed read times): a plain
 //     load of `ceiling_`, the maximum timestamp drawn so far. Begins write
 //     nothing shared.
@@ -47,7 +48,6 @@
 #include <vector>
 
 #include "common/port.h"
-#include "common/spin_latch.h"
 #include "common/types.h"
 #include "storage/lock_word.h"
 
@@ -55,13 +55,9 @@ namespace mvstore {
 
 class TimestampGenerator {
  public:
-  /// Upper bound on concurrently registered threads. Slots are recycled on
-  /// thread exit; overflow falls back to unbatched draws.
-  static constexpr uint32_t kMaxSlots = 256;
   static constexpr uint32_t kDefaultBlockSize = 16;
 
   explicit TimestampGenerator(uint32_t block_size = kDefaultBlockSize);
-  ~TimestampGenerator();
 
   TimestampGenerator(const TimestampGenerator&) = delete;
   TimestampGenerator& operator=(const TimestampGenerator&) = delete;
@@ -85,29 +81,25 @@ class TimestampGenerator {
   /// order of a future recovery depends on it.
   void AdvanceTo(Timestamp floor);
 
-  /// High-water mark of slot indexes ever used (tests).
+  /// High-water mark of slot indexes that carved a block here (tests).
   uint32_t UsedSlots() const {
     return used_slots_.load(std::memory_order_acquire);
   }
 
  private:
+  /// Indexed by ThreadSlot(). The next holder of a slot continues its
+  /// partially drawn block: the slot freelist hands a slot to one thread at
+  /// a time and its latch orders the handoff, so draws stay unique.
   struct alignas(kCacheLineSize) Slot {
     /// Next undrawn timestamp of this slot's block; > limit when empty.
-    /// Owner-thread only; cross-owner handoff happens-before via the
-    /// freelist latch.
     uint64_t next = 1;
     /// Last timestamp of the current block.
     uint64_t limit = 0;
   };
 
-  Slot* MySlot();
-  Slot* AcquireSlot();
-  void ReleaseSlotIndex(uint32_t index);
-  static void ReleaseSlotTrampoline(void* owner, uint32_t slot);
   void PublishDrawn(uint64_t ts);
 
   const uint32_t block_size_;
-  const uint64_t registry_id_;
 
   /// Block allocation cursor: timestamps (base, base + block] are owned by
   /// whoever fetch_add'ed base. Invariant: alloc_ >= ceiling_.
@@ -116,8 +108,6 @@ class TimestampGenerator {
   alignas(kCacheLineSize) std::atomic<uint64_t> ceiling_{0};
 
   alignas(kCacheLineSize) std::atomic<uint32_t> used_slots_{0};
-  mutable SpinLatch freelist_latch_;
-  std::vector<uint32_t> free_slots_ GUARDED_BY(freelist_latch_);
 
   std::vector<Slot> slots_;
 };

@@ -2,92 +2,28 @@
 
 #include <cassert>
 
-#include "util/tls_slots.h"
+#include "util/thread_slot.h"
 
 namespace mvstore {
-namespace {
 
-struct EpochSlotTag {};
-using EpochSlotCache = TlsSlotCache<EpochSlotTag>;
+EpochManager::EpochManager() : slots_(kMaxThreadSlots) {}
 
-constexpr uint32_t kNoSlot = ~uint32_t{0};
+EpochManager::~EpochManager() { DrainAll(); }
 
-}  // namespace
-
-EpochManager::EpochManager()
-    : registry_id_(tls_slots::RegisterOwner(this, &ReleaseSlotTrampoline)),
-      slots_(kMaxThreads) {}
-
-EpochManager::~EpochManager() {
-  // First, before any member dies: no thread-exit callback may touch a
-  // half-destroyed manager.
-  tls_slots::UnregisterOwner(registry_id_);
-  DrainAll();
-}
-
-EpochManager::ThreadSlot* EpochManager::MySlot() {
-  uint32_t index = EpochSlotCache::Lookup(registry_id_);
-  if (index != EpochSlotCache::kNone) return &slots_[index];
-  return AcquireSlot();
-}
-
-EpochManager::ThreadSlot* EpochManager::AcquireSlot() {
-  uint32_t index = kNoSlot;
-  {
-    SpinLatchGuard guard(freelist_latch_);
-    if (!free_slots_.empty()) {
-      index = free_slots_.back();
-      free_slots_.pop_back();
-    } else {
-      uint32_t high_water = used_slots_.load(std::memory_order_relaxed);
-      if (high_water < kMaxThreads) {
-        index = high_water;
-        used_slots_.store(high_water + 1, std::memory_order_release);
-      }
-    }
-  }
-  if (index == kNoSlot) return nullptr;  // > kMaxThreads concurrent threads
-  if (!EpochSlotCache::Store(registry_id_, index)) {
-    // Thread is tearing down: nothing left to release the slot later.
-    ReleaseSlot(index);
-    return nullptr;
+EpochManager::Slot* EpochManager::MySlot() {
+  uint32_t index = ThreadSlot();
+  if (index == kNoSlot) return nullptr;
+  // Raise the scan bound before the slot publishes an epoch or a retirement.
+  uint32_t used = used_slots_.load(std::memory_order_acquire);
+  while (MVSTORE_UNLIKELY(index >= used) &&
+         !used_slots_.compare_exchange_weak(used, index + 1,
+                                            std::memory_order_seq_cst)) {
   }
   return &slots_[index];
 }
 
-void EpochManager::ReleaseSlotTrampoline(void* owner, uint32_t slot) {
-  static_cast<EpochManager*>(owner)->ReleaseSlot(slot);
-}
-
-void EpochManager::ReleaseSlot(uint32_t index) {
-  ThreadSlot& slot = slots_[index];
-  assert(slot.nesting.load(std::memory_order_relaxed) == 0 &&
-         "thread exited inside an EpochGuard");
-  // Splice leftovers onto the orphan list so the slot starts empty for its
-  // next owner; their epochs still gate their reclamation.
-  std::deque<Retired> leftover;
-  {
-    SpinLatchGuard guard(slot.latch);
-    leftover.swap(slot.retired);
-  }
-  if (!leftover.empty()) {
-    uint64_t moved = leftover.size();
-    {
-      SpinLatchGuard guard(orphans_latch_);
-      for (const Retired& r : leftover) orphans_.push_back(r);
-    }
-    orphan_pending_.fetch_add(moved, std::memory_order_relaxed);
-    slot.pending.fetch_sub(moved, std::memory_order_relaxed);
-  }
-  slot.retire_ticker = 0;
-  slot.nesting.store(0, std::memory_order_relaxed);
-  slot.epoch.store(kIdle, std::memory_order_seq_cst);
-  SpinLatchGuard guard(freelist_latch_);
-  free_slots_.push_back(index);
-}
-
 void EpochManager::Enter() {
-  ThreadSlot* slot = MySlot();
+  Slot* slot = MySlot();
   if (slot == nullptr) {
     // Slotless guard (thread teardown or slot exhaustion): a shared count
     // plus a conservative epoch floor. The floor only ever moves down while
@@ -112,12 +48,12 @@ void EpochManager::Enter() {
 }
 
 void EpochManager::Exit() {
-  uint32_t index = EpochSlotCache::Lookup(registry_id_);
-  if (index == EpochSlotCache::kNone) {
+  uint32_t index = ThreadSlot();
+  if (index == kNoSlot) {
     slotless_guards_.fetch_sub(1, std::memory_order_seq_cst);
     return;
   }
-  ThreadSlot& slot = slots_[index];
+  Slot& slot = slots_[index];
   uint32_t nesting = slot.nesting.load(std::memory_order_relaxed);
   assert(nesting > 0);
   slot.nesting.store(nesting - 1, std::memory_order_relaxed);
@@ -133,7 +69,6 @@ uint64_t EpochManager::MinActiveEpoch(uint64_t global) const {
     if (floor != kIdle && floor < min_epoch) min_epoch = floor;
   }
   uint32_t used = used_slots_.load(std::memory_order_acquire);
-  if (used > kMaxThreads) used = kMaxThreads;
   for (uint32_t i = 0; i < used; ++i) {
     uint64_t e = slots_[i].epoch.load(std::memory_order_seq_cst);
     if (e != kIdle && e < min_epoch) min_epoch = e;
@@ -143,7 +78,7 @@ uint64_t EpochManager::MinActiveEpoch(uint64_t global) const {
 
 void EpochManager::Retire(void* object, Deleter deleter, void* arg) {
   uint64_t tag = global_epoch_.load(std::memory_order_acquire);
-  ThreadSlot* slot = MySlot();
+  Slot* slot = MySlot();
   if (slot != nullptr) {
     {
       SpinLatchGuard guard(slot->latch);
@@ -182,9 +117,8 @@ void EpochManager::ReclaimUpTo(uint64_t min_active) {
   if (!reclaim_gate_.TryLock()) return;
   std::vector<Retired> to_free;
   uint32_t used = used_slots_.load(std::memory_order_acquire);
-  if (used > kMaxThreads) used = kMaxThreads;
   for (uint32_t i = 0; i < used; ++i) {
-    ThreadSlot& slot = slots_[i];
+    Slot& slot = slots_[i];
     if (slot.pending.load(std::memory_order_acquire) == 0) continue;
     uint64_t freed = 0;
     {
@@ -229,9 +163,8 @@ void EpochManager::DrainAll() {
   reclaim_gate_.Lock();
   std::vector<Retired> to_free;
   uint32_t used = used_slots_.load(std::memory_order_acquire);
-  if (used > kMaxThreads) used = kMaxThreads;
   for (uint32_t i = 0; i < used; ++i) {
-    ThreadSlot& slot = slots_[i];
+    Slot& slot = slots_[i];
     uint64_t freed = 0;
     {
       SpinLatchGuard guard(slot.latch);
@@ -257,7 +190,6 @@ void EpochManager::DrainAll() {
 uint64_t EpochManager::PendingCount() const {
   uint64_t total = orphan_pending_.load(std::memory_order_relaxed);
   uint32_t used = used_slots_.load(std::memory_order_acquire);
-  if (used > kMaxThreads) used = kMaxThreads;
   for (uint32_t i = 0; i < used; ++i) {
     total += slots_[i].pending.load(std::memory_order_relaxed);
   }

@@ -24,9 +24,10 @@
 // single-vector design compacted O(pending) every pass, quadratic under
 // watermark lag). The global epoch is advanced by CAS only when every
 // active reader has caught up to it, so the shared line is written once per
-// epoch instead of once per attempt. Slots are recycled on thread exit via
-// the thread-slot registry (util/tls_slots.h); a dying thread's queue is
-// spliced onto an orphan list that reclamation passes also drain.
+// epoch instead of once per attempt. Slots are indexed by ThreadSlot()
+// (util/thread_slot.h): a thread that exits leaves its queue in the slot,
+// where reclamation passes still drain it, and the next thread to draw the
+// slot keeps pushing onto it.
 //
 // This layer underpins the version garbage collection of Section 2.3
 // (gc/garbage_collector.*): the GC decides *when* a version is invisible to
@@ -48,12 +49,11 @@
 
 namespace mvstore {
 
-/// Global epoch manager. One instance per Database. Threads register
-/// implicitly on first use; slots are recycled on thread exit (bounded by
-/// kMaxThreads *concurrent* participants).
+/// Global epoch manager. One instance per Database. A thread uses the slot
+/// of its ThreadSlot(); slotless threads fall back to a shared guard count
+/// and the orphan list.
 class EpochManager {
  public:
-  static constexpr uint32_t kMaxThreads = 512;
   static constexpr uint64_t kIdle = ~uint64_t{0};
   static constexpr uint32_t kAdvanceInterval = 64;
 
@@ -99,8 +99,8 @@ class EpochManager {
     return global_epoch_.load(std::memory_order_acquire);
   }
 
-  /// High-water mark of slot indexes ever used. Stays bounded by the peak
-  /// number of *concurrent* participants, not the total thread count
+  /// High-water mark of slot indexes used with this manager. Stays bounded
+  /// by the peak number of *concurrent* threads, not the total thread count
   /// (tests churn thousands of short-lived threads through here).
   uint32_t UsedSlots() const {
     return used_slots_.load(std::memory_order_acquire);
@@ -114,10 +114,10 @@ class EpochManager {
     uint64_t epoch;
   };
 
-  struct alignas(kCacheLineSize) ThreadSlot {
+  struct alignas(kCacheLineSize) Slot {
     std::atomic<uint64_t> epoch{kIdle};
     std::atomic<uint32_t> nesting{0};
-    /// Owner-thread only; handoff across owners via the freelist latch.
+    /// Slot holder only; the slot freelist latch orders the handoff.
     uint32_t retire_ticker = 0;
     /// The slot's retired queue: owner pushes at the back, reclaimers pop
     /// eligible entries off the front. Epoch tags are nondecreasing.
@@ -126,24 +126,18 @@ class EpochManager {
     std::atomic<uint64_t> pending{0};
   };
 
-  ThreadSlot* MySlot();
-  ThreadSlot* AcquireSlot();
-  void ReleaseSlot(uint32_t index);
-  static void ReleaseSlotTrampoline(void* owner, uint32_t slot);
+  Slot* MySlot();
   uint64_t MinActiveEpoch(uint64_t global) const;
   void ReclaimUpTo(uint64_t min_active);
 
-  /// Keys the per-thread slot caches (never the address: a new manager can
-  /// be allocated where a destroyed one lived).
-  const uint64_t registry_id_;
   alignas(kCacheLineSize) std::atomic<uint64_t> global_epoch_{1};
-
-  std::vector<ThreadSlot> slots_;
+  /// One past the highest slot that entered or retired here: scans stop at
+  /// it. Shares global_epoch_'s line, which Enter reads anyway.
   std::atomic<uint32_t> used_slots_{0};
-  SpinLatch freelist_latch_;
-  std::vector<uint32_t> free_slots_ GUARDED_BY(freelist_latch_);
 
-  /// Retirements from dead or slotless threads; drained like a slot queue.
+  std::vector<Slot> slots_;
+
+  /// Retirements from slotless threads; drained like a slot queue.
   mutable SpinLatch orphans_latch_;
   std::deque<Retired> orphans_ GUARDED_BY(orphans_latch_);
   std::atomic<uint64_t> orphan_pending_{0};

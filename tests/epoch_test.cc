@@ -6,6 +6,8 @@
 #include <thread>
 #include <vector>
 
+#include "util/thread_slot.h"
+
 namespace mvstore {
 namespace {
 
@@ -88,15 +90,15 @@ TEST(EpochTest, EpochAdvances) {
   EXPECT_GT(em.CurrentEpoch(), e0);
 }
 
-/// Thread churn: slots must be recycled through the thread-exit registry,
-/// not burned one per thread -- kMaxThreads (512) short-lived threads used
-/// to exhaust the slot table for the life of the manager, silently
-/// degrading every later guard to the slotless fallback path.
+/// Thread churn: slots must be recycled when threads exit, not burned one
+/// per thread -- kMaxThreadSlots (512) short-lived threads used to exhaust
+/// the slot table for the life of the manager, silently degrading every
+/// later guard to the slotless fallback path.
 TEST(EpochTest, SlotReuseUnderThreadChurn) {
   EpochManager em;
   std::atomic<int> live{0};
   constexpr int kChurn = 1000;
-  static_assert(kChurn > static_cast<int>(EpochManager::kMaxThreads),
+  static_assert(kChurn > static_cast<int>(kMaxThreadSlots),
                 "churn must exceed the slot table to prove reuse");
   for (int i = 0; i < kChurn; ++i) {
     std::thread t([&] {
@@ -106,7 +108,7 @@ TEST(EpochTest, SlotReuseUnderThreadChurn) {
     t.join();
   }
   // Sequential churn: each thread released its slot on exit, so the next
-  // one found it on the freelist. A handful of slots, not a thousand.
+  // one drew it again. A handful of slots, not a thousand.
   EXPECT_LE(em.UsedSlots(), 4u);
   em.DrainAll();
   EXPECT_EQ(live.load(), 0);

@@ -121,17 +121,18 @@ TEST(LatencyHistograms, ConcurrentRecordMatchesSerialOracle) {
   EXPECT_EQ(hists.Snapshot(Hist::kGcPass).count, 0u);
 }
 
-TEST(LatencyHistograms, ThreadExitFoldsIntoRetired) {
+TEST(LatencyHistograms, ThreadExitKeepsCellForNextThread) {
   LatencyHistograms hists;
   std::thread recorder([&hists] {
     for (uint64_t v = 0; v < 100; ++v) hists.Record(Hist::kReadLatency, v);
   });
   recorder.join();
-  // The exiting thread's cell was folded and recycled; the data survives.
+  // The exited thread's cell keeps its data.
   HistogramData snap = hists.Snapshot(Hist::kReadLatency);
   EXPECT_EQ(snap.count, 100u);
   EXPECT_EQ(snap.max, 99u);
-  // Cell recycling: a second short-lived thread reuses the same index.
+  // Slot recycling: a second short-lived thread draws the same slot and
+  // records into the same cell.
   uint32_t used = hists.UsedCells();
   std::thread again([&hists] { hists.Record(Hist::kReadLatency, 7); });
   again.join();

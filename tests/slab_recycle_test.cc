@@ -17,6 +17,10 @@
 #include "core/database.h"
 #include "mem/object_pool.h"
 #include "mem/slab_allocator.h"
+#include "obs/histogram.h"
+#include "txn/timestamp.h"
+#include "util/epoch.h"
+#include "util/thread_slot.h"
 
 namespace mvstore {
 namespace {
@@ -92,22 +96,17 @@ TEST(SlabAllocatorTest, ExportsCounters) {
 
   EXPECT_GT(stats.Get(Stat::kSlabChunksAllocated), 0u);
   EXPECT_EQ(stats.Get(Stat::kSlabChunksAllocated), slab.chunks_allocated());
-  // 3000 hits/recycles overflow the local-tally flush threshold (1024), so
-  // the exported counters must have caught up at least partially.
   EXPECT_GT(stats.Get(Stat::kSlabMagazineHits), 0u);
   EXPECT_GT(stats.Get(Stat::kSlabSlotsRecycled), 0u);
   EXPECT_GT(stats.Get(Stat::kSlabMagazineMisses), 0u);
 }
 
-TEST(SlabAllocatorTest, ThreadExitFlushesSubThresholdTallies) {
+TEST(SlabAllocatorTest, CountsAreExactAfterThreadExit) {
   StatsCollector stats;
   SlabAllocator slab(128, &stats);
-  // A handful of hot-path events, all after the thread's last slow path
-  // (the first Allocate refills the magazine and flushes local tallies;
-  // everything after stays below kStatsFlushMask and never fills or drains
-  // the magazine). These tallies are visible only if the thread-exit hook
-  // flushes the magazine — the allocator is still alive, so the
-  // destructor's catch-all has not run.
+  // A handful of hot-path events, all after the thread's only slow path (the
+  // first Allocate refills the magazine). Each one must be counted exactly
+  // once the thread has exited, while the allocator is still alive.
   std::thread worker([&slab] {
     void* slots[8];
     for (int i = 0; i < 8; ++i) slots[i] = slab.Allocate();
@@ -199,6 +198,111 @@ TEST(ObjectPoolTest, DisabledModeUsesHeap) {
   PooledThing* a = pool.Acquire(1);
   EXPECT_EQ(a->value, 1);
   pool.Release(a);  // must not leak (ASan would flag it)
+}
+
+/// ---------------------------------------------------------------------------
+/// Per-thread state across thread exit
+/// ---------------------------------------------------------------------------
+
+/// Threads that run one after another draw the same thread slot, so each
+/// inherits the pool cache and slab magazine its predecessor left behind
+/// instead of stranding them until the owner dies.
+TEST(ThreadSlotTest, ThreadChurnDoesNotStrandPooledMemory) {
+  StatsCollector stats;
+  ObjectPool<PooledThing> pool(/*enabled=*/true, &stats);
+  SlabAllocator slab(128, &stats);
+  for (int i = 0; i < 200; ++i) {
+    std::thread t([&] {
+      pool.Release(pool.Acquire(i));
+      slab.Free(slab.Allocate());
+    });
+    t.join();
+  }
+  EXPECT_LE(stats.Get(Stat::kTxnPoolMisses), 2u);
+  EXPECT_EQ(stats.Get(Stat::kTxnPoolHits) + stats.Get(Stat::kTxnPoolMisses),
+            200u);
+  EXPECT_EQ(slab.chunks_allocated(), 1u);
+}
+
+struct TeardownOwners {
+  StatsCollector stats;
+  obs::LatencyHistograms hists;
+  EpochManager epoch;
+  TimestampGenerator ts;
+  ObjectPool<PooledThing> pool{/*enabled=*/true, &stats};
+  SlabAllocator slab{128, &stats};
+  std::atomic<int> live{0};
+  std::atomic<bool> ran_slotless{false};
+  std::atomic<Timestamp> last_draw{0};
+};
+
+/// Uses every per-thread owner from a thread_local destructor that runs
+/// after the thread's slot has been handed back.
+struct TeardownProbe {
+  TeardownOwners* owners = nullptr;
+  ~TeardownProbe() {
+    if (owners == nullptr) return;
+    TeardownOwners& o = *owners;
+    o.ran_slotless.store(ThreadSlot() == kNoSlot);
+    o.stats.Add(Stat::kReads, 5);
+    o.hists.Record(obs::Hist::kReadLatency, 42);
+    {
+      EpochGuard guard(o.epoch);
+      o.epoch.RetireObject(new CountedThing(o.live));
+    }
+    o.last_draw.store(o.ts.Next());
+    o.pool.Release(o.pool.Acquire(2));
+    o.slab.Free(o.slab.Allocate());
+  }
+  struct CountedThing {
+    explicit CountedThing(std::atomic<int>& c) : counter(c) { ++counter; }
+    ~CountedThing() { --counter; }
+    std::atomic<int>& counter;
+  };
+};
+
+/// The probe is constructed before the thread's first ThreadSlot() call, so
+/// it is destroyed after the slot holder: every owner must take its
+/// slotless fallback there and still count exactly.
+TEST(ThreadSlotTest, OwnersFallBackAfterSlotTeardown) {
+  TeardownOwners o;
+  Timestamp body_draw = 0;
+  std::thread t([&] {
+    thread_local TeardownProbe probe;
+    probe.owners = &o;
+    ASSERT_NE(ThreadSlot(), kNoSlot);
+    o.stats.Add(Stat::kReads, 5);
+    o.hists.Record(obs::Hist::kReadLatency, 7);
+    {
+      EpochGuard guard(o.epoch);
+      o.epoch.RetireObject(new TeardownProbe::CountedThing(o.live));
+    }
+    body_draw = o.ts.Next();
+    o.pool.Release(o.pool.Acquire(1));
+    o.slab.Free(o.slab.Allocate());
+  });
+  t.join();
+  ASSERT_TRUE(o.ran_slotless.load());
+
+  EXPECT_EQ(o.stats.Get(Stat::kReads), 10u);
+  obs::HistogramData h = o.hists.Snapshot(obs::Hist::kReadLatency);
+  EXPECT_EQ(h.count, 2u);
+  EXPECT_EQ(h.sum, 49u);
+  EXPECT_EQ(h.max, 42u);
+  EXPECT_GT(o.last_draw.load(), body_draw);
+  EXPECT_EQ(o.stats.Get(Stat::kTxnPoolHits) +
+                o.stats.Get(Stat::kTxnPoolMisses),
+            2u);
+  EXPECT_EQ(o.stats.Get(Stat::kSlabMagazineHits) +
+                o.stats.Get(Stat::kSlabMagazineMisses),
+            2u);
+  EXPECT_EQ(o.stats.Get(Stat::kSlabSlotsRecycled), 2u);
+
+  // The slotless guard was released: reclamation is not pinned.
+  o.epoch.TryAdvanceAndReclaim();
+  o.epoch.TryAdvanceAndReclaim();
+  EXPECT_EQ(o.live.load(), 0);
+  EXPECT_EQ(o.epoch.PendingCount(), 0u);
 }
 
 /// ---------------------------------------------------------------------------

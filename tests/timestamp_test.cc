@@ -118,7 +118,7 @@ TEST(TimestampBatchTest, AdvanceToRetiresOutstandingBlocks) {
   EXPECT_EQ(gen.Current(), after);
 }
 
-/// Slots are recycled through the thread-exit registry: churning many
+/// Slots are recycled when threads exit: churning many
 /// short-lived threads through one generator must reuse a bounded set of
 /// slots, not grow the high-water mark per thread.
 TEST(TimestampBatchTest, SlotRecyclingUnderThreadChurn) {
