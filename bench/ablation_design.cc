@@ -39,7 +39,7 @@ RunResult Measure(const DatabaseOptions& opts, uint64_t rows,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"rows", "seconds", "threads", "group", "json"});
   const uint64_t rows = flags.GetUint("rows", 100000);
   const double seconds = flags.GetDouble("seconds", 0.5);
   const uint32_t threads =

@@ -64,7 +64,7 @@ double RunChurn(Table& table, uint32_t threads, double seconds,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"seconds", "threads", "live", "mode", "json"});
   const double seconds = flags.GetDouble("seconds", 0.5);
   const uint32_t max_threads =
       static_cast<uint32_t>(flags.GetUint("threads", DefaultMaxThreads()));

@@ -7,46 +7,28 @@
 // timestamp acquisition as "the only critical section shared by all
 // transactions"; this bench is that critical section in a loop, so it is
 // the most sensitive detector of a serialization regression on it.
-//
-// Extra axis beyond the common flags:
-//   --block N   end-timestamp block size (DatabaseOptions::ts_block_size);
-//               1 reproduces the unbatched fetch_add-per-commit behavior.
 #include "bench/harness.h"
-#include "txn/timestamp.h"
 
 int main(int argc, char** argv) {
   using namespace mvstore;
   using namespace mvstore::bench;
 
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"seconds", "threads", "scheme", "group", "json"});
   const double seconds = flags.GetDouble("seconds", 0.5);
   const uint32_t max_threads =
       static_cast<uint32_t>(flags.GetUint("threads", DefaultMaxThreads()));
-  const uint32_t block =
-      static_cast<uint32_t>(flags.GetUint("block", 16));
   JsonReporter json(flags, BenchSlug(argv[0]));
 
   std::printf("# contention: empty Begin/Commit transactions, Read "
-              "Committed, ts block=%u, %.2fs/point\n",
-              block, seconds);
+              "Committed, %.2fs/point\n", seconds);
   std::printf("%-8s", "threads");
   std::vector<Scheme> schemes = SchemesToRun(flags);
   for (Scheme s : schemes) std::printf("%14s", SchemeName(s));
   std::printf("   (transactions/sec)\n");
 
   std::vector<std::unique_ptr<Database>> dbs;
-  std::vector<std::string> labels;
   for (Scheme s : schemes) {
-    DatabaseOptions opts = MakeOptions(s, flags);
-    opts.ts_block_size = block;
-    // Non-default block sizes tag the row label so ablation runs do not
-    // merge with the default rows in bench_report.sh medians.
-    std::string label = SchemeName(s);
-    if (block != TimestampGenerator::kDefaultBlockSize) {
-      label += "+block" + std::to_string(block);
-    }
-    labels.push_back(label);
-    dbs.push_back(std::make_unique<Database>(opts));
+    dbs.push_back(std::make_unique<Database>(MakeOptions(s, flags)));
   }
 
   for (uint32_t threads : ThreadSweep(max_threads)) {
@@ -66,7 +48,7 @@ int main(int argc, char** argv) {
             }
           });
       std::printf("%14.0f", r.tps());
-      json.AddRow(labels[i], threads, r.tps(), r.aborted);
+      json.AddRow(SchemeName(schemes[i]), threads, r.tps(), r.aborted);
     }
     std::printf("\n");
     std::fflush(stdout);

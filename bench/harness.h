@@ -8,23 +8,27 @@
 // figure. The paper measures on a 2-socket 24-thread box; DefaultMaxThreads
 // below adapts the multiprogramming cap to the host.
 //
-// Every bench binary accepts:
+// The common flags (each binary reads a subset; --help lists its own, and
+// a flag it does not read is rejected):
 //   --seconds S     measurement window per data point (default 0.5)
 //   --rows N        table size (default differs per experiment)
 //   --threads T     max multiprogramming level (default min(24, hw))
 //   --scheme X      restrict to one scheme (1V, MV/L, MV/O)
 //   --json PATH     additionally emit machine-readable result rows
 //   --full          paper-scale parameters (10M rows etc.)
+//   --group US      group-commit window (MakeOptions)
 // Defaults are sized so that `for b in build/bench/*; do $b; done` finishes
 // in minutes on a laptop; --full reproduces the paper's scale.
 // scripts/bench_report.sh runs the suite and merges the --json outputs into
 // a dated BENCH_<date>.json at the repo root (the perf trajectory record).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <thread>
 #include <vector>
@@ -93,14 +97,37 @@ RunResult RunFixedDuration(uint32_t threads, double seconds,
   return result;
 }
 
-/// Minimal flag parser: --key value.
+/// Bench slug for result rows: the binary's basename (e.g.
+/// "fig5_scalability_high").
+inline std::string BenchSlug(const char* argv0) {
+  std::string s = argv0;
+  size_t slash = s.find_last_of('/');
+  return slash == std::string::npos ? s : s.substr(slash + 1);
+}
+
+/// Minimal flag parser: --key value. A bench names every flag it reads in
+/// `accepted`; any other --key exits 2 naming it, and --help lists the
+/// accepted flags and exits 0 -- both before the bench does any work.
 class Flags {
  public:
-  Flags(int argc, char** argv) {
+  Flags(int argc, char** argv,
+        std::initializer_list<const char*> accepted = {}) {
     for (int i = 1; i < argc; ++i) {
       std::string arg = argv[i];
       if (arg.rfind("--", 0) != 0) continue;
       std::string key = arg.substr(2);
+      if (key == "help") {
+        std::printf("usage: %s [--flag value]...\naccepted flags:",
+                    BenchSlug(argv[0]).c_str());
+        for (const char* name : accepted) std::printf(" --%s", name);
+        std::printf("\n");
+        std::exit(0);
+      }
+      if (std::find(accepted.begin(), accepted.end(), key) == accepted.end()) {
+        std::fprintf(stderr, "%s: unknown flag --%s (see --help)\n",
+                     BenchSlug(argv[0]).c_str(), key.c_str());
+        std::exit(2);
+      }
       if (i + 1 < argc && argv[i + 1][0] != '-') {
         values_.emplace_back(key, argv[++i]);
       } else {
@@ -189,14 +216,6 @@ inline DatabaseOptions MakeOptions(Scheme scheme) {
   // throughput on a small box.
   opts.group_commit_us = 100;
   return opts;
-}
-
-/// Bench slug for result rows: the binary's basename (e.g.
-/// "fig5_scalability_high").
-inline std::string BenchSlug(const char* argv0) {
-  std::string s = argv0;
-  size_t slash = s.find_last_of('/');
-  return slash == std::string::npos ? s : s.substr(slash + 1);
 }
 
 /// MakeOptions honoring the common command-line axis `--group`.

@@ -13,7 +13,8 @@ namespace bench {
 /// with update transactions (R=10, W=2); Read Committed.
 inline int RunReadMixBench(int argc, char** argv, uint64_t default_rows,
                            const char* figure_name) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"rows", "full", "seconds", "threads", "scheme",
+                           "group", "json"});
   const uint64_t rows =
       flags.GetUint("rows", flags.Has("full") ? 10000000 : default_rows);
   const double seconds = flags.GetDouble("seconds", 0.5);

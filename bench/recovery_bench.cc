@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
   using namespace mvstore;
   using namespace mvstore::bench;
 
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"txns", "rows", "threads", "scheme", "json"});
   const uint64_t txns = flags.GetUint("txns", 20000);
   const uint64_t rows = flags.GetUint("rows", 5000);
   const uint32_t max_threads =

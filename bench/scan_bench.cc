@@ -62,7 +62,8 @@ TableId CreateAndLoad(Database& db, uint64_t rows) {
 }
 
 int Run(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"rows", "full", "seconds", "threads", "update_pct",
+                           "range", "scheme", "group", "json"});
   const uint64_t rows =
       flags.GetUint("rows", flags.Has("full") ? 10000000 : 100000);
   const double seconds = flags.GetDouble("seconds", 0.5);

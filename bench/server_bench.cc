@@ -141,7 +141,9 @@ int main(int argc, char** argv) {
   using namespace mvstore;
   using namespace mvstore::bench;
 
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"seconds", "full", "subscribers", "threads", "depth",
+                           "tcp", "scheme", "group_commit_us", "log_path",
+                           "fsync", "follower", "json"});
   const double seconds = flags.GetDouble("seconds", 0.5);
   const bool full = flags.Has("full");
   const uint64_t subscribers =

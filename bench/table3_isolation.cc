@@ -13,7 +13,8 @@ using namespace mvstore;
 using namespace mvstore::bench;
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"rows", "full", "seconds", "threads", "scheme",
+                           "group", "json"});
   const uint64_t rows =
       flags.GetUint("rows", flags.Has("full") ? 10000000 : 200000);
   const double seconds = flags.GetDouble("seconds", 0.5);

@@ -9,7 +9,8 @@ using namespace mvstore;
 using namespace mvstore::bench;
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"subscribers", "full", "seconds", "threads",
+                           "scheme", "group", "json"});
   const uint64_t subscribers =
       flags.GetUint("subscribers", flags.Has("full") ? 20000000 : 100000);
   const double seconds = flags.GetDouble("seconds", 1.0);

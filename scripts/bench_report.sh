@@ -47,26 +47,24 @@ trap 'rm -rf "${tmp}"' EXIT
 run() {
   local name="$1"; shift
   echo "== ${name}: $*" >&2
-  "$@" --seconds "${SECONDS_PER_POINT}" "${THREAD_FLAG[@]}" \
-      --json "${tmp}/${name}.json" >&2
+  "$@" "${THREAD_FLAG[@]}" --json "${tmp}/${name}.json" >&2
 }
+WINDOW=(--seconds "${SECONDS_PER_POINT}")
 
 for ((rep = 0; rep < REPEATS; ++rep)) do
-  run "alloc.${rep}"     "${BUILD_DIR}/alloc_bench"
-  run "fig5.${rep}"      "${BUILD_DIR}/fig5_scalability_high"
-  # Coordination cost in isolation (empty Begin/Commit loops), with the
-  # unbatched-timestamp ablation alongside (rows tagged +block1).
-  run "contention.${rep}"   "${BUILD_DIR}/contention_bench"
-  run "contention_b1.${rep}" "${BUILD_DIR}/contention_bench" --block 1
-  run "tatp.${rep}"      "${BUILD_DIR}/table4_tatp"
+  run "alloc.${rep}"     "${BUILD_DIR}/alloc_bench" "${WINDOW[@]}"
+  run "fig5.${rep}"      "${BUILD_DIR}/fig5_scalability_high" "${WINDOW[@]}"
+  # Coordination cost in isolation (empty Begin/Commit loops).
+  run "contention.${rep}" "${BUILD_DIR}/contention_bench" "${WINDOW[@]}"
+  run "tatp.${rep}"      "${BUILD_DIR}/table4_tatp" "${WINDOW[@]}"
   # Recovery time (log replay records/sec over a replay-thread sweep);
-  # ignores --seconds, sized by RECOVERY_TXNS instead. 50K keeps the 12
+  # takes no --seconds, sized by RECOVERY_TXNS instead. 50K keeps the 12
   # recoveries (3 schemes x 4 thread counts) proportionate to the rest of
   # the suite on a small box; rows report a rate, so they stay comparable.
   run "recovery.${rep}"  "${BUILD_DIR}/recovery_bench" \
       --txns "${RECOVERY_TXNS:-50000}"
   # Service layer: TATP as pipelined procedure calls, loopback + tcp rows.
-  run "server.${rep}"    "${BUILD_DIR}/server_bench" \
+  run "server.${rep}"    "${BUILD_DIR}/server_bench" "${WINDOW[@]}" \
       --depth "${SERVER_DEPTH:-8}"
 done
 

@@ -39,8 +39,7 @@ Stat AbortStat(AbortReason reason) {
 MVEngine::MVEngine(MVEngineOptions options, Scheme scheme)
     : EngineCore(scheme, options),
       options_(options),
-      txn_pool_(options_.use_slab_allocator, &stats_),
-      ts_gen_(options_.ts_block_size) {
+      txn_pool_(options_.use_slab_allocator, &stats_) {
   gc_ = std::make_unique<GarbageCollector>(txn_table_, epoch_, stats_,
                                            options_.gc_interval_us);
   gc_->SetHistograms(&hists_);
@@ -48,7 +47,7 @@ MVEngine::MVEngine(MVEngineOptions options, Scheme scheme)
       [](void* arg) {
         return static_cast<TimestampGenerator*>(arg)->Current() + 1;
       },
-      &ts_gen_);
+      &clock_);
   if (options_.gc_interval_us > 0) gc_->Start();
   deadlock_ = std::make_unique<DeadlockDetector>(
       txn_table_, epoch_, stats_,
@@ -85,7 +84,7 @@ Transaction* MVEngine::Begin(IsolationLevel isolation, bool pessimistic,
     isolation = IsolationLevel::kSnapshot;
   }
   Transaction* txn =
-      txn_pool_.Acquire(id_gen_.Next(), isolation, pessimistic, read_only);
+      txn_pool_.Acquire(txn_ids_.Next(), isolation, pessimistic, read_only);
   // Sampled commit-pipeline tracing: the decision rides start_ticks so a
   // sampled transaction gets a coherent whole-pipeline trace.
   txn->start_ticks = SampleStartTicks();
@@ -98,7 +97,7 @@ Transaction* MVEngine::Begin(IsolationLevel isolation, bool pessimistic,
   // commits pay for it). Current() is at or above every finished commit and
   // strictly below every end timestamp drawn after it, which is exactly
   // what a snapshot needs.
-  txn->begin_ts.store(ts_gen_.Current(), std::memory_order_release);
+  txn->begin_ts.store(clock_.Current(), std::memory_order_release);
   return txn;
 }
 
@@ -107,10 +106,10 @@ Timestamp MVEngine::ReadTime(Transaction* txn) const {
   if (txn->pessimistic) {
     return txn->isolation == IsolationLevel::kSnapshot
                ? txn->begin_ts.load(std::memory_order_acquire)
-               : ts_gen_.Current();
+               : clock_.Current();
   }
   return txn->isolation == IsolationLevel::kReadCommitted
-             ? ts_gen_.Current()
+             ? clock_.Current()
              : txn->begin_ts.load(std::memory_order_acquire);
 }
 
@@ -1069,7 +1068,7 @@ Status MVEngine::Commit(Txn* handle) {
   // a committed update). Readers that catch Preparing before the timestamp
   // store spin in AwaitEndTimestamp.
   txn->state.store(TxnState::kPreparing, std::memory_order_seq_cst);
-  txn->end_ts.store(ts_gen_.Next(), std::memory_order_seq_cst);
+  txn->end_ts.store(clock_.Next(), std::memory_order_seq_cst);
 
   // Now that the serialization point is fixed, release read and bucket
   // locks and the outgoing wait-for dependencies (Section 4.2.2). Any

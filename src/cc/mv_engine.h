@@ -22,7 +22,6 @@
 #include "core/engine_core.h"
 #include "gc/garbage_collector.h"
 #include "mem/object_pool.h"
-#include "txn/timestamp.h"
 #include "txn/transaction.h"
 #include "txn/txn_table.h"
 
@@ -44,11 +43,6 @@ struct MVEngineOptions : EngineOptions {
 
   /// Deadlock-detector pass interval; 0 disables the thread.
   uint32_t deadlock_interval_us = 1000;
-
-  /// End timestamps are carved off the shared counter in per-thread blocks
-  /// of this size (txn/timestamp.h); 1 = unbatched (every commit touches
-  /// the shared cacheline, the pre-Section-6 behavior).
-  uint32_t ts_block_size = TimestampGenerator::kDefaultBlockSize;
 };
 
 class MVEngine final : public EngineCore {
@@ -119,15 +113,9 @@ class MVEngine final : public EngineCore {
   Status Delete(Txn* txn, TableId table_id, IndexId index_id,
                 uint64_t key) override;
 
-  Timestamp CommitClock() const override { return ts_gen_.Current(); }
-  void AdvanceCommitClock(Timestamp floor) override {
-    ts_gen_.AdvanceTo(floor);
-  }
-
   /// --- infrastructure access ---------------------------------------------------
 
   TxnTable& txn_table() { return txn_table_; }
-  TimestampGenerator& ts_gen() { return ts_gen_; }
   GarbageCollector& gc() { return *gc_; }
   DeadlockDetector& deadlock_detector() { return *deadlock_; }
   const MVEngineOptions& options() const { return options_; }
@@ -213,8 +201,6 @@ class MVEngine final : public EngineCore {
   MVEngineOptions options_;
   ObjectPool<Transaction> txn_pool_;
   TxnTable txn_table_;
-  TimestampGenerator ts_gen_;
-  TxnIdGenerator id_gen_;
   BucketLockTable bucket_locks_;
   std::unique_ptr<GarbageCollector> gc_;
   std::unique_ptr<DeadlockDetector> deadlock_;

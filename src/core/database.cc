@@ -22,7 +22,6 @@ std::unique_ptr<EngineCore> MakeEngine(const DatabaseOptions& options) {
   mv.honor_locks = options.honor_locks;
   mv.gc_interval_us = options.gc_interval_us;
   mv.deadlock_interval_us = options.deadlock_interval_us;
-  mv.ts_block_size = options.ts_block_size;
   return std::make_unique<MVEngine>(mv, options.scheme);
 }
 

@@ -56,8 +56,6 @@ struct DatabaseOptions : EngineOptions {
   bool honor_locks = true;
   uint32_t gc_interval_us = 2000;
   uint32_t deadlock_interval_us = 1000;
-  /// Per-thread end-timestamp block size (txn/timestamp.h); 1 = unbatched.
-  uint32_t ts_block_size = 16;
 
   /// 1V engine: lock-wait timeout (deadlock breaking).
   uint64_t lock_timeout_us = 2000;

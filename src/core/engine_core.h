@@ -5,11 +5,11 @@
 // storage, hash indexes and group-commit log are common, so that only
 // concurrency control differs (Section 5). EngineCore is that common part:
 // counters, latency histograms, the slow-txn threshold, the catalog, the
-// epoch manager and the logger (with its one sink factory), plus the
-// Begin-time sampling decision, the commit-trace recorder and the teardown
-// of the live database image. MVEngine (cc/mv_engine.h) and SVEngine
-// (sv/sv_engine.h) derive from it and implement the transaction lifecycle
-// and the data operations.
+// epoch manager, the logger (with its one sink factory), the commit clock
+// and the transaction-id source, plus the Begin-time sampling decision,
+// the commit-trace recorder and the teardown of the live database image.
+// MVEngine (cc/mv_engine.h) and SVEngine (sv/sv_engine.h) derive from it
+// and implement the transaction lifecycle and the data operations.
 #pragma once
 
 #include <functional>
@@ -22,6 +22,7 @@
 #include "log/logger.h"
 #include "obs/histogram.h"
 #include "storage/table.h"
+#include "txn/timestamp.h"
 #include "util/epoch.h"
 
 namespace mvstore {
@@ -146,10 +147,10 @@ class EngineCore {
   /// --- commit clock ---------------------------------------------------------
 
   /// Largest commit timestamp any written log record can carry so far.
-  virtual Timestamp CommitClock() const = 0;
+  Timestamp CommitClock() const { return clock_.Current(); }
   /// Raise the commit clock to at least `floor`; recovery calls this after
   /// replay so post-recovery records sort after the replayed ones.
-  virtual void AdvanceCommitClock(Timestamp floor) = 0;
+  void AdvanceCommitClock(Timestamp floor) { clock_.AdvanceTo(floor); }
 
   /// --- shared infrastructure ------------------------------------------------
 
@@ -228,6 +229,10 @@ class EngineCore {
   Catalog catalog_;
   EpochManager epoch_;
   std::unique_ptr<Logger> logger_;
+  /// The one timestamp counter (txn/timestamp.h): MV begin and end
+  /// timestamps, and the 1V commit-record order.
+  TimestampGenerator clock_;
+  TxnIdGenerator txn_ids_;
 
  private:
   const Scheme scheme_;

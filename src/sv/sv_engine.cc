@@ -34,8 +34,7 @@ SVTransaction* SVEngine::Begin(IsolationLevel isolation, bool read_only) {
   if (isolation == IsolationLevel::kSnapshot) {
     isolation = IsolationLevel::kRepeatableRead;
   }
-  SVTransaction* txn = txn_pool_.Acquire(
-      next_txn_id_.fetch_add(1, std::memory_order_relaxed), isolation);
+  SVTransaction* txn = txn_pool_.Acquire(txn_ids_.Next(), isolation);
   txn->start_ticks = SampleStartTicks();
   return txn;
 }
@@ -393,8 +392,7 @@ void SVEngine::WriteLog(SVTransaction* txn) {
   thread_local std::vector<uint8_t> buffer;
   buffer.clear();
   LogRecordBuilder builder(buffer);
-  builder.BeginRecord(commit_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-                      txn->id);
+  builder.BeginRecord(clock_.Next(), txn->id);
   for (const auto& u : txn->undo) {
     switch (u.op) {
       case SVTransaction::UndoOp::kInsert:

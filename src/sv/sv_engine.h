@@ -27,12 +27,10 @@
 // change a key.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <vector>
 
-#include "common/port.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "core/engine_core.h"
@@ -143,18 +141,6 @@ class SVEngine final : public EngineCore {
 
   const SVEngineOptions& options() const { return options_; }
 
-  /// Every transaction that already wrote its log record has an end
-  /// timestamp <= this value.
-  Timestamp CommitClock() const override {
-    return commit_clock_.load(std::memory_order_acquire);
-  }
-  void AdvanceCommitClock(Timestamp floor) override {
-    Timestamp cur = commit_clock_.load(std::memory_order_acquire);
-    while (cur < floor && !commit_clock_.compare_exchange_weak(
-                              cur, floor, std::memory_order_acq_rel)) {
-    }
-  }
-
  private:
   /// Acquire (or convert to) the requested mode on the key's lock,
   /// registering it in the transaction's lock set. Short-lock reads under
@@ -199,10 +185,6 @@ class SVEngine final : public EngineCore {
   /// (nullptr for hash slots).
   std::vector<std::unique_ptr<RangeLockManager>> range_locks_;
   std::vector<uint32_t> lock_table_base_;  // table id -> first lock table
-  /// Bumped by every Begin and Commit: kept off the lines of the lock-table
-  /// vectors above, which every lock acquisition reads.
-  alignas(kCacheLineSize) std::atomic<TxnId> next_txn_id_{1};
-  std::atomic<Timestamp> commit_clock_{0};
 };
 
 }  // namespace mvstore

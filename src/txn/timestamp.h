@@ -1,51 +1,22 @@
 // Global timestamp and transaction-ID generation (paper Section 2.4:
 // "Timestamps are drawn from a global, monotonically increasing counter").
 //
-// The paper observes that acquiring a timestamp is "the only critical
-// section shared by all transactions" in the MV schemes (Section 6). A bare
-// fetch_add makes that critical section a single cacheline that every
-// transaction invalidates twice (begin and commit). This implementation
-// splits the two roles of the clock:
+// The paper calls acquiring a timestamp "the only critical section shared
+// by all transactions" and implements it as "a single atomic increment"
+// (Section 6); so does TimestampGenerator. Next() (end timestamps, drawn
+// only by commits) is one fetch_add; Current() (begin timestamps and the
+// Read Committed read time) is one load, so begins write nothing shared.
+// EngineCore owns one generator that every scheme draws from.
 //
-//   * Allocation (Next, commits only): each thread carves a private block of
-//     end timestamps off the shared `alloc_` cursor, then draws from the
-//     block with plain stores to its own cacheline (the slot of its
-//     ThreadSlot(), util/thread_slot.h). The shared cursor is touched once
-//     per block, not once per commit. A thread with no slot draws unbatched.
-//   * Observation (Current, begins and Read Committed read times): a plain
-//     load of `ceiling_`, the maximum timestamp drawn so far. Begins write
-//     nothing shared.
-//
-// The ceiling is maintained by Next() with a skip-if-lower CAS-max: a drawn
-// timestamp below the current maximum (most draws, once several blocks are
-// in flight) publishes nothing, so in steady state one thread at a time --
-// the holder of the highest block -- writes the ceiling line while everyone
-// else only reads it.
-//
-// Snapshot safety: a begin timestamp B = ceiling must never be overtaken by
-// a later-drawn end timestamp T <= B, or a reader could watch a transaction
-// commit "into its past" and observe half of its writes. Blocks make this
-// nontrivial -- a block carved long ago can hold undrawn values below the
-// current ceiling. The guard is in Next(): a draw whose candidate is at or
-// below the ceiling abandons the rest of the block and carves a fresh one
-// (fresh blocks start above `alloc_` >= ceiling). Abandoned timestamps are
-// simply never emitted, which is what makes abandonment safe; ids are
-// unique, not dense. The ordering argument, with everything seq_cst: a
-// reader that observes a writer still Active did so before the writer's
-// Preparing store (MVEngine::Commit publishes Preparing before drawing),
-// hence before the writer's ceiling check, hence that check sees
-// ceiling >= B and the writer's end timestamp lands strictly above B.
-// Readers that instead catch Preparing resolve through AwaitEndTimestamp
-// and the commit-dependency machinery exactly as before.
-//
-// AdvanceTo (recovery) raises the cursor and the ceiling together; the
-// Next() ceiling guard then retires every stale outstanding block, so
-// post-recovery commits draw strictly above everything already replayed.
+// Snapshot safety, with everything seq_cst: a reader with begin timestamp
+// B that sees a writer still Active loaded B before the writer's Preparing
+// store, and MVEngine::Commit makes that store before its fetch_add, so
+// the writer's end timestamp T > B. Readers that instead catch Preparing
+// resolve through AwaitEndTimestamp and the commit-dependency machinery.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <vector>
 
 #include "common/port.h"
 #include "common/types.h"
@@ -55,61 +26,31 @@ namespace mvstore {
 
 class TimestampGenerator {
  public:
-  static constexpr uint32_t kDefaultBlockSize = 16;
-
-  explicit TimestampGenerator(uint32_t block_size = kDefaultBlockSize);
-
-  TimestampGenerator(const TimestampGenerator&) = delete;
-  TimestampGenerator& operator=(const TimestampGenerator&) = delete;
-
   /// Unique end timestamp, strictly greater than every Current() value
   /// observed before the call.
-  Timestamp Next();
-
-  /// Current logical time: the maximum drawn timestamp. At or above every
-  /// commit that finished before this call, strictly below every timestamp
-  /// Next() will return after it. Used for begin timestamps and the Read
-  /// Committed read time; writes nothing shared.
-  Timestamp Current() const {
-    return ceiling_.load(std::memory_order_seq_cst);
+  Timestamp Next() {
+    return clock_.fetch_add(1, std::memory_order_seq_cst) + 1;
   }
 
-  /// Raise the clock to at least `floor`: every later Next() returns a
-  /// value > `floor` and every later Current() >= `floor`. Recovery calls
-  /// this after replay so post-recovery commits draw end timestamps
-  /// strictly greater than every timestamp already in the log — the replay
-  /// order of a future recovery depends on it.
-  void AdvanceTo(Timestamp floor);
+  /// Current logical time: the latest drawn timestamp. At or above every
+  /// commit that finished before this call, strictly below every timestamp
+  /// Next() will return after it.
+  Timestamp Current() const { return clock_.load(std::memory_order_seq_cst); }
 
-  /// High-water mark of slot indexes that carved a block here (tests).
-  uint32_t UsedSlots() const {
-    return used_slots_.load(std::memory_order_acquire);
+  /// Raise the clock to at least `floor` (a CAS-max; never lowers it).
+  /// Recovery calls this after replay so post-recovery commits draw end
+  /// timestamps strictly greater than every timestamp already in the log —
+  /// the replay order of a future recovery depends on it.
+  void AdvanceTo(Timestamp floor) {
+    Timestamp current = clock_.load(std::memory_order_seq_cst);
+    while (current < floor && !clock_.compare_exchange_weak(
+                                  current, floor, std::memory_order_seq_cst)) {
+    }
   }
 
  private:
-  /// Indexed by ThreadSlot(). The next holder of a slot continues its
-  /// partially drawn block: the slot freelist hands a slot to one thread at
-  /// a time and its latch orders the handoff, so draws stay unique.
-  struct alignas(kCacheLineSize) Slot {
-    /// Next undrawn timestamp of this slot's block; > limit when empty.
-    uint64_t next = 1;
-    /// Last timestamp of the current block.
-    uint64_t limit = 0;
-  };
-
-  void PublishDrawn(uint64_t ts);
-
-  const uint32_t block_size_;
-
-  /// Block allocation cursor: timestamps (base, base + block] are owned by
-  /// whoever fetch_add'ed base. Invariant: alloc_ >= ceiling_.
-  alignas(kCacheLineSize) std::atomic<uint64_t> alloc_{0};
-  /// Maximum drawn timestamp (see file comment).
-  alignas(kCacheLineSize) std::atomic<uint64_t> ceiling_{0};
-
-  alignas(kCacheLineSize) std::atomic<uint32_t> used_slots_{0};
-
-  std::vector<Slot> slots_;
+  /// On its own cache line: every commit writes it.
+  alignas(kCacheLineSize) std::atomic<Timestamp> clock_{0};
 };
 
 /// Transaction IDs come from their own counter; they live in a disjoint

@@ -3,17 +3,17 @@
 //
 // The MV engines scale only if a transaction touches no shared cacheline
 // beyond the timestamp counter (paper Section 6), so hot state is kept per
-// thread: epoch slots, timestamp blocks, stat and histogram cells, slab
-// magazines, transaction-pool caches, log lanes and GC shards. Each of those
+// thread: epoch slots, stat and histogram cells, slab magazines,
+// transaction-pool caches, log lanes and GC shards. Each of those
 // owners is an array indexed by ThreadSlot() (striped owners use
 // ThreadSlot() % N).
 //
 // A thread draws its slot from one latched bitmap on its first call, lowest
 // free index first, and a thread_local holder hands it back when the thread
 // exits. Owners never hear about the exit: the next thread to draw the index
-// inherits the slot's state in every owner (a half-drawn timestamp block,
-// stat tallies, cached slab slots, a retired-object queue), and the latch
-// orders the handoff, so each slot has one writer at a time.
+// inherits the slot's state in every owner (stat tallies, cached slab
+// slots, a retired-object queue), and the latch orders the handoff, so
+// each slot has one writer at a time.
 //
 // ThreadSlot() returns kNoSlot to calls made after the holder is destroyed
 // (other thread_local destructors that run later) and, for life, to a thread

@@ -716,31 +716,26 @@ TEST_P(CrashRecoveryTest, ParallelReplayMatchesSerial) {
   EXPECT_EQ(serial, parallel);  // byte-identical contents
 }
 
-// --- interleaved timestamp blocks --------------------------------------------
+// --- interleaved committers ---------------------------------------------------
 
-/// Commits drawing end timestamps from interleaved per-thread blocks
-/// (txn/timestamp.h) leave a log whose timestamps have gaps: a block that
-/// falls behind the drawn-timestamp ceiling is abandoned, so its remainder
-/// is never emitted. A crash image of such a log must (a) replay to
+/// Commits from threads taking turns on shared rows leave a log whose
+/// replay order matters. A crash image of such a log must (a) replay to
 /// byte-identical contents serially and in parallel, and (b) leave the
 /// recovered clock strictly above the replayed maximum -- a post-recovery
-/// commit reusing a gap or a replayed timestamp would corrupt the replay
-/// order of the *next* recovery.
-TEST_P(CrashRecoveryTest, InterleavedTimestampBlocksReplayDeterministically) {
+/// commit reusing a replayed timestamp would corrupt the replay order of
+/// the *next* recovery.
+TEST_P(CrashRecoveryTest, InterleavedCommittersReplayDeterministically) {
   constexpr uint32_t kThreads = 3;
   constexpr uint32_t kRounds = 40;  // committed transactions per thread
   constexpr uint64_t kShared = 8;
   {
     DatabaseOptions opts = OneSegmentOptions();
-    opts.ts_block_size = 4;  // small blocks: frequent carves, visible gaps
     Database db(opts);
     DefineSchema(db);
     for (uint64_t k = 0; k < kShared; ++k) {
       ASSERT_TRUE(InsertRow(db, k, 1).ok());
     }
     // A turnstile alternates commit order across threads deterministically:
-    // every thread's next draw finds another thread's draw above it, so
-    // every commit abandons its block remainder and carves a fresh one --
     // the maximally interleaved schedule, independent of the scheduler.
     std::atomic<uint32_t> turn{0};
     std::vector<std::thread> writers;
@@ -781,14 +776,6 @@ TEST_P(CrashRecoveryTest, InterleavedTimestampBlocksReplayDeterministically) {
   std::vector<ParsedLogRecord> records;
   (void)ParseSegment(log, &records);  // false: torn tail
   ASSERT_GT(records.size(), kShared);
-  if (GetParam() != Scheme::kSingleVersion) {
-    // The phenomenon under test actually occurred: abandoned block
-    // remainders left gaps, so the timestamp range exceeds the draw count.
-    std::vector<Timestamp> stamps;
-    for (const auto& r : records) stamps.push_back(r.end_ts);
-    std::sort(stamps.begin(), stamps.end());
-    EXPECT_GT(stamps.back() - stamps.front() + 1, stamps.size());
-  }
 
   auto recover = [&](uint32_t threads, RecoveryReport* report) {
     DatabaseOptions fresh;
@@ -809,15 +796,13 @@ TEST_P(CrashRecoveryTest, InterleavedTimestampBlocksReplayDeterministically) {
   EXPECT_EQ(serial_report.max_timestamp, parallel_report.max_timestamp);
   EXPECT_EQ(DumpTable(*serial_db), DumpTable(*parallel_db));
 
-  // Post-recovery commits draw strictly above everything replayed, even
-  // though the crashed run still had partially drawn blocks outstanding
-  // below the maximum when it died. Check what actually reaches the log
-  // after a recover-and-continue open: the replay order of the *next*
-  // recovery depends on these records sorting after all existing ones.
+  // Post-recovery commits draw strictly above everything replayed. Check
+  // what actually reaches the log after a recover-and-continue open: the
+  // replay order of the *next* recovery depends on these records sorting
+  // after all existing ones.
   EXPECT_GE(serial_db->LastCommitTimestamp(), serial_report.max_timestamp);
   {
     DatabaseOptions opts = OneSegmentOptions();
-    opts.ts_block_size = 4;
     auto db = Database::Open(opts, DefineSchema);
     ASSERT_NE(db, nullptr);
     ASSERT_TRUE(InsertRow(*db, 999999, 1).ok());
