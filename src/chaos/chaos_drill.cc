@@ -263,6 +263,17 @@ std::unique_ptr<Replica> OpenChildReplica(const DrillOptions& options,
     replica = OpenChildReplica(options, MakeFollowerDbOptions(options),
                                shipper->port(), /*allow_wipe=*/true);
     if (replica == nullptr) std::_Exit(7);
+    // Let the follower attach before the commit traffic starts, as a real
+    // deployment sets replication up first (failover_drill_test does the
+    // same). At full kSync speed the armed hit count is otherwise reached
+    // while the follower is still connecting. A kill during the bootstrap
+    // (repl.ship.send, log.fsync at a low hit) still covers that path.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (shipper->attached_followers() == 0 && !replica->failed() &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
   }
 
   int ack_fd = ::open((options.dir + "/acks.bin").c_str(),

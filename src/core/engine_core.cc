@@ -86,6 +86,9 @@ void EngineCore::RecordCommit(const CommitTimer& timer, TxnId txn_id,
     hists_.Record(obs::Hist::kCommitValidate, validated - timer.enter_);
   }
   hists_.Record(obs::Hist::kCommitLogAppend, log_append);
+  if (timer.appended_ && logger_->mode() == LogMode::kSync) {
+    hists_.Record(obs::Hist::kCommitGroupWait, timer.group_wait_);
+  }
   if (timer.start_ticks_ != 0) {
     hists_.Record(obs::Hist::kTxnLifetime, done - timer.start_ticks_);
   }

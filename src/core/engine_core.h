@@ -50,9 +50,10 @@ struct EngineOptions {
   /// completed checkpoint delete (truncate) covered segments. Must be > 0
   /// when log_path is set; 0 reports a broken sink (Database::Open fails).
   uint64_t log_segment_bytes = 64ull << 20;
-  /// Group-commit window in microseconds: once the log flusher sees a
-  /// pending commit record it waits this long so concurrent committers
-  /// coalesce into one flush (one fsync with fsync_log). 0 flushes as soon
+  /// Group-commit window in microseconds for records nobody waits for
+  /// (kAsync): once the log flusher sees a pending commit record it waits
+  /// up to this long so those commits coalesce into one flush. A waiting
+  /// kSync committer closes it at once (log/logger.h). 0 flushes as soon
   /// as the flusher wakes. Counters: log_group_commits (batches flushed),
   /// log_group_size_sum (records across those batches).
   uint32_t group_commit_us = 0;
@@ -200,6 +201,7 @@ class EngineCore {
     /// never reached it must not read a previous commit's wait).
     void MarkLogged(bool appended) {
       if (!timed_) return;
+      appended_ = appended;
       group_wait_ = appended ? Logger::LastGroupWaitTicks() : 0;
       logged_ = obs::NowTicks();
     }
@@ -212,12 +214,14 @@ class EngineCore {
     uint64_t validated_ = 0;
     uint64_t logged_ = 0;
     uint64_t group_wait_ = 0;
+    bool appended_ = false;
   };
 
   /// Record a finished commit: commit_total, validate (when marked),
-  /// log_append net of the group wait, txn_lifetime (sampled transactions)
-  /// and, over the slow-txn threshold, one slow-txn line. Call after the
-  /// transaction object is released; `txn_id` and `writes` are copies.
+  /// log_append net of the group wait, the group wait itself (kSync
+  /// appends), txn_lifetime (sampled transactions) and, over the slow-txn
+  /// threshold, one slow-txn line. Call after the transaction object is
+  /// released; `txn_id` and `writes` are copies.
   void RecordCommit(const CommitTimer& timer, TxnId txn_id, uint64_t writes);
 
   /// Counters and histograms come first: table slabs, the derived engines'

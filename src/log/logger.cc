@@ -103,17 +103,17 @@ void Logger::Append(const std::vector<uint8_t>& record) {
   const uint64_t wait_start = obs::NowTicks();
   {
     // Notifying under mutex_ means the flusher either saw this record in
-    // its idle check or is already parked and gets the wakeup.
+    // its idle check or is already parked and gets the wakeup; the raised
+    // waiters_ count closes any window it holds.
     MutexLock lock(mutex_);
+    ++waiters_;
     flusher_cv_.NotifyOne();
     while (lane.flushed.load(std::memory_order_acquire) < my_end) {
       commit_cv_.Wait(lock);
     }
+    --waiters_;
   }
   tl_last_group_wait_ticks = obs::NowTicks() - wait_start;
-  if (hists_ != nullptr) {
-    hists_->Record(obs::Hist::kCommitGroupWait, tl_last_group_wait_ticks);
-  }
 }
 
 bool Logger::HasPending() const {
@@ -146,15 +146,16 @@ void Logger::FlusherLoop() {
       if (!HasPending() && !running_.load(std::memory_order_acquire)) return;
       // Group-commit window: the first pending record opens the window; any
       // commit appended before it closes rides the same Write+Sync (one
-      // fsync for the whole group). Appender wakeups do not close the
-      // window — only its deadline or shutdown does — so it holds its full
-      // length under traffic.
+      // fsync for the whole group). It holds only records nobody waits
+      // for: a kSync committer or FlushAll parked on a flushed count closes
+      // it at once. Under kSync traffic the in-flight fsync is the window,
+      // since whatever arrives during one pass goes out in the next.
       if (group_commit_us_ > 0 && HasPending() &&
           running_.load(std::memory_order_acquire)) {
         const auto window_deadline =
             std::chrono::steady_clock::now() +
             std::chrono::microseconds(group_commit_us_);
-        while (running_.load(std::memory_order_acquire)) {
+        while (running_.load(std::memory_order_acquire) && waiters_ == 0) {
           if (flusher_cv_.WaitUntil(lock, window_deadline) ==
               std::cv_status::timeout) {
             break;
@@ -223,8 +224,10 @@ void Logger::FlushPass() {
     size = merged_.size();
   }
   if (size > 0) {
+    const uint64_t sync_start = obs::NowTicks();
     sink_->Write(data, size);
     sink_->Sync();
+    if (hists_ != nullptr) hists_->RecordSince(obs::Hist::kLogSync, sync_start);
     NotifyObserver(data, size);
     if (stats_ != nullptr) {
       stats_->Add(Stat::kLogGroupCommits);
@@ -253,12 +256,14 @@ void Logger::FlushAll() {
     target[i] = lanes_[i].appended.load(std::memory_order_acquire);
   }
   MutexLock lock(mutex_);
+  ++waiters_;
   flusher_cv_.NotifyOne();
   for (size_t i = 0; i < kLanes; ++i) {
     while (lanes_[i].flushed.load(std::memory_order_acquire) < target[i]) {
       commit_cv_.Wait(lock);
     }
   }
+  --waiters_;
 }
 
 void Logger::PauseForReplay() {

@@ -20,6 +20,13 @@
 // wait for the flush -- so the engine defaults to kAsync; kSync waits until
 // the flusher has written the record's lane past it (durable commit) and
 // kDisabled removes logging entirely.
+//
+// Flushing is pipelined, the idea behind Aether (Johnson et al., VLDB 2010)
+// and Silo's epoch group commit: while a committer waits, the flusher never
+// sleeps on a timer, so the records that arrive during one sink Write+Sync
+// go out in the next pass, the moment that fsync returns. The fsync is the
+// batching window for durable commits; the group_commit_us timer batches
+// only records nobody waits for (kAsync).
 #pragma once
 
 #include <array>
@@ -115,13 +122,15 @@ class Logger {
 
   /// Logger takes ownership of `sink` (must be non-null unless kDisabled).
   ///
-  /// `group_commit_us` > 0 opens a group-commit window: once the flusher
-  /// sees a pending record it waits this long before flushing, so commits
-  /// arriving within the window join the batch and share one sink
-  /// Write+Sync (one fsync when the sink fsyncs). Each counted batch bumps
-  /// log_group_commits by 1 and log_group_size_sum by the batch's record
-  /// count, so mean group size = sum / commits. 0 keeps the pre-window
-  /// behavior: the flusher gathers the lanes as soon as it wakes.
+  /// `group_commit_us` > 0 opens a group-commit window for records nobody
+  /// waits for: once the flusher sees a pending record it waits up to this
+  /// long before flushing, so kAsync commits arriving within the window
+  /// join the batch and share one sink Write+Sync. A kSync committer or
+  /// FlushAll caller parked on the flush closes the window at once; their
+  /// records batch behind the in-flight fsync instead. Each counted batch
+  /// bumps log_group_commits by 1 and log_group_size_sum by the batch's
+  /// record count, so mean group size = sum / commits. 0: the flusher
+  /// gathers the lanes as soon as it wakes.
   Logger(LogMode mode, LogSink* sink, uint32_t group_commit_us = 0,
          StatsCollector* stats = nullptr,
          obs::LatencyHistograms* hists = nullptr);
@@ -258,6 +267,9 @@ class Logger {
   std::atomic<bool> running_{false};
   /// True while the flusher is parked; appenders skip the wakeup otherwise.
   std::atomic<bool> flusher_idle_{false};
+  /// Threads parked in a kSync Append or FlushAll on a flushed count. While
+  /// it is nonzero the flusher holds no group-commit window.
+  uint32_t waiters_ GUARDED_BY(mutex_) = 0;
   std::thread flusher_;
 };
 

@@ -169,6 +169,7 @@ enum class Hist : uint32_t {
   kCommitValidate,    // precommit: finish processing, validation, dep wait
   kCommitLogAppend,   // building + appending the redo record
   kCommitGroupWait,   // waiting for the group-commit flush (kSync)
+  kLogSync,           // one flushed batch's sink Write+Sync (log flusher)
   kReplAckWait,       // leader flusher waiting for follower acks (sync repl)
   kTxnLifetime,       // Begin() to commit
   kReadLatency,       // Database::Read
@@ -182,9 +183,9 @@ enum class Hist : uint32_t {
 inline const char* HistName(Hist hist) {
   static const char* kNames[] = {
       "commit_total",      "commit_validate", "commit_log_append",
-      "commit_group_wait", "repl_ack_wait",   "txn_lifetime",
-      "read_latency",      "scan_latency",    "gc_pass",
-      "checkpoint",        "recovery_replay",
+      "commit_group_wait", "log_sync",        "repl_ack_wait",
+      "txn_lifetime",      "read_latency",    "scan_latency",
+      "gc_pass",           "checkpoint",      "recovery_replay",
   };
   return kNames[static_cast<uint32_t>(hist)];
 }

@@ -445,18 +445,29 @@ struct Replica::Impl {
           return;
         }
       }
+      Streaming(conn, Position{lseq, lsize});
+      return;
+    }
+  }
+
+  /// `level` is the leader's position at the attach. A follower attached
+  /// behind it first receives the bytes it lacks as tail batches, and
+  /// counts as attached only once it is durable at `level`: from then on it
+  /// holds every commit the leader acknowledged before the attach, and the
+  /// leader couples every later one to its ack.
+  void Streaming(Conn& conn, Position level) {
+    bool counted = false;
+    auto count_attach = [&] {
+      if (counted || sink->current_pos() < level) return;
+      counted = true;
       self->attaches_.fetch_add(1, std::memory_order_relaxed);
       if (!self->ever_attached_.exchange(true, std::memory_order_acq_rel) &&
           !attach_cb_fired) {
         attach_cb_fired = true;
         if (self->options_.on_first_attach) self->options_.on_first_attach();
       }
-      Streaming(conn);
-      return;
-    }
-  }
-
-  void Streaming(Conn& conn) {
+    };
+    count_attach();
     auto last_frame = std::chrono::steady_clock::now();
     while (ShouldRun()) {
       wire::Frame frame;
@@ -503,6 +514,7 @@ struct Replica::Impl {
             return;
           }
           self->batches_applied_.fetch_add(1, std::memory_order_relaxed);
+          count_attach();
           break;
         }
         case wire::Opcode::kReplHeartbeat: {

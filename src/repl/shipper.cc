@@ -257,8 +257,8 @@ struct ReplShipper::Impl : public CommitObserver {
     // its disk — the zero-acked-loss contract. A follower that cannot keep
     // up within the timeout is dropped, not waited on forever. The wait is
     // the repl_ack_wait histogram span: it runs on the leader's flusher
-    // thread, inside the group-commit window every kSync committer of this
-    // batch is blocked on.
+    // thread, inside the group wait every kSync committer of this batch is
+    // blocked on.
     obs::LatencyHistograms& hists = db.hists();
     const uint64_t t_wait = hists.enabled() ? obs::NowTicks() : 0;
     const auto deadline = std::chrono::steady_clock::now() +
@@ -492,17 +492,37 @@ struct ReplShipper::Impl : public CommitObserver {
                                nullptr, 0, /*fatal=*/true);
           return false;
         }
+        // A follower behind the leader in the live segment attaches too,
+        // with the bytes it lacks as its first tail batch. Under steady
+        // commit traffic the leader moves on between the follower's last
+        // pull and this request, so waiting for exact equality can starve
+        // the attach for as long as the traffic lasts.
+        std::vector<uint8_t> gap;
+        bool ok = follower == cur;
+        if (!ok && follower.seq == cur.seq &&
+            cur.offset - follower.offset <= options.max_chunk) {
+          const uint64_t want = cur.offset - follower.offset;
+          uint64_t total = 0;
+          ok = ReadFileChunk(logseg::SegmentPath(sink->prefix(), cur.seq),
+                             follower.offset, static_cast<uint32_t>(want),
+                             &gap, &total) &&
+               gap.size() == want;  // short: not yet out of stdio's buffer
+        }
         std::vector<uint8_t> payload;
-        const uint8_t ok = follower == cur ? 1 : 0;
-        wire::Put(&payload, ok);
+        wire::Put(&payload, static_cast<uint8_t>(ok ? 1 : 0));
         wire::Put(&payload, cur.seq);
         wire::Put(&payload, cur.offset);
         wire::AppendResponse(out, frame.opcode, Status::OK(), payload.data(),
                              payload.size());
-        if (ok != 0) {
+        if (ok) {
           f->attached = true;
+          if (!gap.empty()) {
+            f->outbox.emplace_back(follower, std::move(gap));
+            WakeFollower(f);
+          }
           f->stream_pos = cur;
-          f->acked = cur;  // attach requires the follower to be durable here
+          // The follower made its position durable before asking.
+          f->acked = follower;
           f->retain_seq = 0;
           RecomputeRetainLocked();
           *attached = true;

@@ -36,7 +36,7 @@ struct ServerOptions {
   uint16_t port = 0;
   /// Worker event loops (connections are pinned round-robin). Dispatch is
   /// synchronous on the worker, so a LogMode::kSync commit blocks its loop
-  /// for the flush (plus any group-commit window): size this to the
+  /// for the rest of the in-flight fsync plus its own: size this to the
   /// expected number of *concurrently committing* sessions when running
   /// synchronous durability; kAsync commits never block the loop.
   uint32_t workers = 2;

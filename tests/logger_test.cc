@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <mutex>
 #include <thread>
@@ -409,6 +410,105 @@ TEST(LoggerTest, SyncAppendersFindTheirRecordOnReturn) {
   EXPECT_EQ(missing.load(), 0);
 }
 
+/// A sink whose Sync blocks until the test opens its gate, so a test can
+/// hold the flusher inside an fsync.
+class GatedSyncSink : public LogSink {
+ public:
+  void Write(const uint8_t*, size_t) override {}
+  void Sync() override {
+    std::unique_lock<std::mutex> lock(mutex_);
+    ++syncs_started_;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return open_; });
+  }
+  void WaitForSyncStarted() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [this] { return syncs_started_ > 0; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> guard(mutex_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  int syncs_started_ = 0;
+  bool open_ = false;
+};
+
+/// Pipelined flushing: a kSync record appended while the flusher is inside
+/// an fsync goes out in the next pass as soon as that fsync returns. With a
+/// timer window it would wait the whole (here one-second) window more.
+TEST(LoggerTest, SyncRecordArrivingDuringFsyncSkipsTheWindow) {
+  using Clock = std::chrono::steady_clock;
+  auto* sink = new GatedSyncSink();  // owned by the logger
+  Logger logger(LogMode::kSync, sink, /*group_commit_us=*/1000000);
+  std::thread first([&] { logger.Append(RecordAt(1)); });
+  sink->WaitForSyncStarted();  // the first record's batch is in Sync
+  std::atomic<int64_t> second_ms{-1};
+  std::thread second([&] {
+    const auto start = Clock::now();
+    logger.Append(RecordAt(2));
+    second_ms.store(std::chrono::duration_cast<std::chrono::milliseconds>(
+                        Clock::now() - start)
+                        .count());
+  });
+  while (logger.records_appended() < 2) std::this_thread::yield();
+  sink->Open();
+  first.join();
+  second.join();
+  EXPECT_LT(second_ms.load(), 500);
+}
+
+/// FlushAll waits on the flusher like a kSync committer, so it closes the
+/// window instead of sitting out the timer.
+TEST(LoggerTest, FlushAllSkipsTheWindow) {
+  using Clock = std::chrono::steady_clock;
+  auto* sink = new MemoryLogSink();  // owned by the logger
+  Logger logger(LogMode::kAsync, sink, /*group_commit_us=*/1000000);
+  logger.Append(RecordAt(1));
+  const auto start = Clock::now();
+  logger.FlushAll();
+  const auto took = std::chrono::duration_cast<std::chrono::milliseconds>(
+      Clock::now() - start);
+  EXPECT_LT(took.count(), 500);
+  EXPECT_EQ(ParseAll(sink->Contents()).size(), 1u);
+}
+
+/// kAsync records nobody waits for still batch by the window: the flusher
+/// flushes at most once per window (plus the first pass and FlushAll's),
+/// however often appenders arrive.
+TEST(LoggerTest, AsyncAppendsStillBatchByTheWindow) {
+  using Clock = std::chrono::steady_clock;
+  constexpr auto kWindow = std::chrono::milliseconds(20);
+  constexpr auto kRun = std::chrono::milliseconds(200);
+  StatsCollector stats;
+  auto* sink = new MemoryLogSink();  // owned by the logger
+  Logger logger(LogMode::kAsync, sink,
+                /*group_commit_us=*/static_cast<uint32_t>(
+                    std::chrono::microseconds(kWindow).count()),
+                &stats);
+  const auto start = Clock::now();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (Timestamp i = 1; Clock::now() - start < kRun; ++i) {
+        logger.Append(RecordAt(i * 4 + t));
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  logger.FlushAll();
+  const auto elapsed = Clock::now() - start;
+  const uint64_t batches = stats.Get(Stat::kLogGroupCommits);
+  EXPECT_GT(batches, 0u);
+  EXPECT_LE(batches, static_cast<uint64_t>(elapsed / kWindow) + 2);
+  EXPECT_EQ(stats.Get(Stat::kLogGroupSizeSum), logger.records_appended());
+}
+
 /// Lanes belong to the logger, not to threads: records of threads that
 /// have exited still reach the sink when the logger shuts down.
 TEST(LoggerTest, DestructorFlushesLanesOfExitedThreads) {
@@ -478,7 +578,7 @@ TEST(LoggerTest, EngineCommitsProduceRecords) {
   EXPECT_EQ(engine.logger().records_appended(), 2u);
 }
 
-/// ENOSPC in the middle of a group-commit window (injected at the sink's
+/// ENOSPC in the middle of a group commit (injected at the sink's
 /// sync step via failpoint): every committer parked on the shared flush must
 /// get the failure promptly — no hang on the flushed-count wait, and no
 /// spurious success ack for a commit whose bytes never became durable.
@@ -492,7 +592,8 @@ TEST(LoggerTest, EnospcMidGroupCommitWindowFailsAllParkedCommitters) {
   opts.log_mode = LogMode::kSync;
   opts.log_path = FreshLogPrefix("enospc_group");
   opts.fsync_log = true;
-  opts.group_commit_us = 2000;  // wide window: committers park together
+  // A window kSync committers close at once: they park on the failing fsync.
+  opts.group_commit_us = 2000;
   Database db(opts);
   TableDef def;
   def.name = "kv";

@@ -225,6 +225,60 @@ TEST(MetricsTest, CommitTracingIsSampledByDefault) {
   EXPECT_EQ(samples["mvstore_txn_lifetime_seconds_count"], traced);
 }
 
+/// kSync commits bill their group wait with the commit's own sample, so
+/// commit_group_wait and commit_total count the same commits and the wait
+/// is a part of the commit it was measured in (log.group_wait_share <= 1).
+TEST(MetricsTest, GroupWaitIsSampledWithTheCommit) {
+  DatabaseOptions opts;
+  opts.scheme = Scheme::kMultiVersionOptimistic;
+  opts.log_mode = LogMode::kSync;
+  Database db(opts);
+  TableId table = MakeRowTable(db);
+  auto snap = [&db](obs::Hist hist) { return db.hists().Snapshot(hist); };
+  // Table creation commits nothing, but count from here regardless.
+  const obs::HistogramData total0 = snap(obs::Hist::kCommitTotal);
+  const obs::HistogramData wait0 = snap(obs::Hist::kCommitGroupWait);
+
+  constexpr uint64_t kCommits = 2 * (obs::kCommitSampleMask + 1);
+  for (uint64_t i = 0; i < kCommits; ++i) {
+    Txn* txn = db.Begin(IsolationLevel::kReadCommitted);
+    Row row{i, i};
+    ASSERT_TRUE(db.Insert(txn, table, &row).ok());
+    ASSERT_TRUE(db.Commit(txn).ok());
+  }
+  obs::HistogramData total = snap(obs::Hist::kCommitTotal);
+  obs::HistogramData wait = snap(obs::Hist::kCommitGroupWait);
+  total.Subtract(total0);
+  wait.Subtract(wait0);
+  EXPECT_EQ(total.count, 2u);  // one in kCommitSampleMask + 1, per thread
+  EXPECT_EQ(wait.count, total.count);
+  EXPECT_LE(wait.sum, total.sum);
+}
+
+/// The flusher bills every batch's sink Write+Sync to log_sync, unsampled:
+/// one record per counted group commit.
+TEST(MetricsTest, LogSyncCountsEveryFlushedBatch) {
+  DatabaseOptions opts;
+  opts.log_mode = LogMode::kSync;
+  Database db(opts);
+  TableId table = MakeRowTable(db);
+  const uint64_t syncs0 = db.hists().Snapshot(obs::Hist::kLogSync).count;
+  const uint64_t batches0 = db.stats().Get(Stat::kLogGroupCommits);
+
+  constexpr uint64_t kCommits = 40;
+  for (uint64_t i = 0; i < kCommits; ++i) {
+    Txn* txn = db.Begin(IsolationLevel::kReadCommitted);
+    Row row{i, i};
+    ASSERT_TRUE(db.Insert(txn, table, &row).ok());
+    ASSERT_TRUE(db.Commit(txn).ok());
+  }
+  const uint64_t syncs =
+      db.hists().Snapshot(obs::Hist::kLogSync).count - syncs0;
+  const uint64_t batches = db.stats().Get(Stat::kLogGroupCommits) - batches0;
+  EXPECT_GT(batches, 0u);
+  EXPECT_EQ(syncs, batches);
+}
+
 TEST(MetricsTest, HistogramsDisabledStillWellFormed) {
   DatabaseOptions opts;
   opts.enable_latency_histograms = false;

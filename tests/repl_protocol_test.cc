@@ -31,6 +31,7 @@
 #include "client/client.h"
 #include "client/read_router.h"
 #include "core/database.h"
+#include "log/log_segment.h"
 #include "repl/replica.h"
 #include "repl/shipper.h"
 #include "server/loopback.h"
@@ -233,6 +234,51 @@ TEST_F(ReplProtocolTest, GarbageKillsOnlyThatConnection) {
   ASSERT_TRUE(WriteRow(*db_, 2, 20).ok());
   EXPECT_TRUE(WaitFor([&] { return replica->batches_applied() > 0; }));
   EXPECT_FALSE(replica->failed());
+}
+
+// A follower behind the leader in the live segment attaches at once, and
+// the leader streams the bytes it lacks as the first tail batch, starting
+// at the follower's position. Under steady commit traffic the leader moves
+// on between a follower's last pull and its attach request, so an attach
+// that demanded exact equality could starve for as long as traffic lasts.
+TEST_F(ReplProtocolTest, AttachBehindInLiveSegmentStreamsTheGap) {
+  ASSERT_TRUE(WriteRow(*db_, 1, 10).ok());
+  RawConn conn;
+  ASSERT_TRUE(conn.Dial(shipper_->port()));
+  ASSERT_TRUE(conn.SendFrame(
+      wire::Opcode::kReplHandshake,
+      conn.HandshakeBody(wire::kReplProtoVersion,
+                         static_cast<uint8_t>(db_->scheme()), 0, 1,
+                         logseg::kHeaderSize)));
+  wire::Frame frame;
+  ASSERT_EQ(conn.RecvFrame(&frame), 1);
+  ASSERT_TRUE(wire::WireToStatus(frame.body[0], frame.body[1]).ok());
+
+  // Ask to attach at the start of segment 1, behind the committed row.
+  std::vector<uint8_t> stream;
+  wire::Put(&stream, uint64_t{1});
+  wire::Put(&stream, uint64_t{logseg::kHeaderSize});
+  ASSERT_TRUE(conn.SendFrame(wire::Opcode::kReplStream, stream));
+  ASSERT_EQ(conn.RecvFrame(&frame), 1);
+  wire::BodyReader att(frame.body.data() + 2, frame.body.size() - 2);
+  uint8_t attached = 0;
+  uint64_t cur_seq = 0, cur_size = 0;
+  ASSERT_TRUE(att.Read(&attached));
+  ASSERT_TRUE(att.Read(&cur_seq));
+  ASSERT_TRUE(att.Read(&cur_size));
+  ASSERT_EQ(attached, 1);
+  ASSERT_EQ(cur_seq, 1u);
+  ASSERT_GT(cur_size, logseg::kHeaderSize);
+
+  ASSERT_EQ(conn.RecvFrame(&frame), 1);
+  ASSERT_EQ(frame.opcode, wire::Opcode::kReplTail);
+  wire::BodyReader tail(frame.body.data(), frame.body.size());
+  uint64_t seq = 0, offset = 0;
+  ASSERT_TRUE(tail.Read(&seq));
+  ASSERT_TRUE(tail.Read(&offset));
+  EXPECT_EQ(seq, 1u);
+  EXPECT_EQ(offset, logseg::kHeaderSize);
+  EXPECT_EQ(tail.remaining(), cur_size - logseg::kHeaderSize);
 }
 
 // A frame whose checksum does not match its bytes must close the
